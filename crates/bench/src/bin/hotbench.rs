@@ -1,100 +1,44 @@
-//! Hot-path benchmark: measure what the quiescence-aware fast-forward
-//! engine buys on the figure drivers, and record the trajectory.
+//! Hot-path benchmark: time the figure drivers and record the
+//! simulator's throughput trajectory.
 //!
 //! ```text
 //! hotbench [--quick] [--gate] [--out PATH] [--baseline PATH] [--band F]
-//!          [--record PATH] [--drivers a,b,c] [--scale N] [--frames N]
-//!          [--instr N] [--seed N]
+//!          [--drivers a,b,c] [--scale N] [--frames N] [--instr N] [--seed N]
 //! ```
 //!
-//! Each driver is run twice at `threads = 1`: once with fast-forward
-//! disabled (the reference cycle-by-cycle loop) and once with it enabled
-//! (the default). Both runs produce identical tables — asserted here —
-//! so the wall-clock ratio is a pure measurement of the engine. Results
-//! are written as JSONL (default `BENCH_hotpath.json`): one meta line,
-//! then one line per driver with wall-clock seconds, cycles simulated,
-//! cycles skipped, and cycles per second for both loops. The out file is
-//! a *trajectory*: an existing file is appended to, not overwritten, so
-//! successive recording runs accumulate one meta+rows block each.
+//! Each driver runs once at `threads = 1`. Results are written as JSONL
+//! (default `BENCH_hotpath.json`): one meta line, then one line per
+//! driver with wall-clock seconds, CPU cycles simulated (warm-up
+//! included) and cycles per second. The out file is a *trajectory*: an
+//! existing file is appended to, not overwritten, so successive runs
+//! accumulate one meta+rows block each.
 //!
-//! `--gate` turns the run into a pass/fail check with two criteria, both
-//! exiting with code 3 (a typed [`CliError::Gate`]) after writing the
-//! JSONL so CI can fail and keep the evidence:
-//! 1. fast-forward must not be slower than the cycle-by-cycle loop on
-//!    any driver beyond a fixed noise band, and
-//! 2. each driver's `ff_cycles_per_s` must stay within `--band` (default
-//!    ±10%) of the last trajectory point recorded at the same config in
-//!    the `--baseline` file (default `BENCH_hotpath.json`). Drivers with
-//!    no matching recorded point are reported and skipped, so the gate
-//!    degrades gracefully on fresh checkouts and config sweeps.
-//!
-//! `--record PATH` (requires `--gate`) additionally appends this run's
-//! meta+rows block to PATH — but only when the gate passes. CI points it
-//! at the checked-in trajectory so every green gate run automatically
-//! becomes the next baseline point, while red runs leave the recorded
-//! history untouched.
+//! `--gate` turns the run into a pass/fail check: each driver's
+//! `cycles_per_s` must stay within `--band` (default ±10%) of the last
+//! trajectory point recorded at the same config in the `--baseline` file
+//! (default `BENCH_hotpath.json`). A regression exits with code 3 (a
+//! typed [`CliError::Gate`]) after writing the JSONL, so CI can fail and
+//! keep the evidence. Drivers with no matching recorded point are
+//! reported and skipped, so the gate degrades gracefully on fresh
+//! checkouts and config sweeps. The gate never writes the baseline: a
+//! new anchor point is recorded deliberately, by running without `--gate`
+//! and `--out` pointed at the baseline file.
 
 use std::time::Instant;
 
-use gat_bench::{fail, figure_tables, is_known_figure, parse_num, render_tables, CliError};
+use gat_bench::{fail, figure_run, is_known_figure, parse_num, CliError};
 use gat_hetero::experiments::ExpConfig;
-use gat_hetero::ffstats;
 use gat_sim::json::{validate_json_line, Obj};
 
 const USAGE: &str = "hotbench [--quick] [--gate] [--out PATH] [--baseline PATH] [--band F] \
-     [--record PATH] [--drivers a,b,c] [--scale N] [--frames N] [--instr N] [--seed N]";
-
-/// `--gate` noise band: fast-forward counts as a regression only when it
-/// is slower than the cycle-by-cycle loop by more than this fraction
-/// *plus* the absolute slack (which keeps second-scale `--quick` runs
-/// from tripping on scheduler jitter).
-const GATE_NOISE_FRAC: f64 = 0.05;
-const GATE_NOISE_ABS_S: f64 = 0.25;
+     [--drivers a,b,c] [--scale N] [--frames N] [--instr N] [--seed N]";
 
 /// `--gate` trajectory band: default relative slack when comparing a
-/// driver's `ff_cycles_per_s` against the last recorded trajectory point
+/// driver's `cycles_per_s` against the last recorded trajectory point
 /// at the same config. Overridable with `--band` because wall-clock
 /// throughput on a shared 1-vCPU box can swing well past 10% from
 /// hypervisor steal time alone.
 const GATE_TRAJECTORY_BAND: f64 = 0.10;
-
-/// Pre-optimization wall-clock seconds for each figure driver, recorded
-/// with the strict cycle-by-cycle loop at the default hotbench config
-/// (`figures_progress.txt`: scale=128, frames=4, instr=200000,
-/// seed=538379561, threads=1). Only valid for that exact config; the
-/// comparison is omitted whenever any knob is changed.
-const RECORDED_BASELINE_S: &[(&str, f64)] = &[
-    ("fig1+2", 51.8),
-    ("fig3", 82.3),
-    ("fig8", 57.6),
-    ("fig9+10+11", 36.8),
-    ("fig12", 135.8),
-    ("fig13+14", 373.6),
-];
-
-/// One driver timed under one loop flavour.
-struct Sample {
-    wall_s: f64,
-    simulated: u64,
-    skipped: u64,
-    spans: u64,
-    tables: String,
-}
-
-fn run_once(id: &str, cfg: &ExpConfig) -> Sample {
-    let _ = ffstats::take();
-    let start = Instant::now();
-    let tables = render_tables(&figure_tables(id, cfg));
-    let wall_s = start.elapsed().as_secs_f64();
-    let (simulated, skipped, spans) = ffstats::take();
-    Sample {
-        wall_s,
-        simulated,
-        skipped,
-        spans,
-        tables,
-    }
-}
 
 /// Extract a scalar field from one flat JSONL line produced by [`Obj`].
 ///
@@ -122,7 +66,7 @@ fn meta_fingerprint(line: &str) -> Option<String> {
 }
 
 /// Scan a trajectory file (JSONL: repeated meta+rows blocks) and return
-/// the *last* recorded `ff_cycles_per_s` per driver among blocks whose
+/// the *last* recorded `cycles_per_s` per driver among blocks whose
 /// meta matches `want_fp`. Later blocks shadow earlier ones, so the map
 /// is "the most recent trajectory point at this config".
 fn last_recorded_point(text: &str, want_fp: &str) -> std::collections::BTreeMap<String, f64> {
@@ -136,7 +80,7 @@ fn last_recorded_point(text: &str, want_fp: &str) -> std::collections::BTreeMap<
             Some("hotbench") if block_matches => {
                 if let (Some(driver), Some(cps)) = (
                     json_field(line, "driver"),
-                    json_field(line, "ff_cycles_per_s").and_then(|v| v.parse::<f64>().ok()),
+                    json_field(line, "cycles_per_s").and_then(|v| v.parse::<f64>().ok()),
                 ) {
                     out.insert(driver.to_string(), cps);
                 }
@@ -156,8 +100,8 @@ fn main() {
 fn real_main() -> Result<(), CliError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = ExpConfig {
-        // Fixed measurement config: single worker so wall-clock ratios are
-        // loop-speed ratios, not scheduling artifacts.
+        // Fixed measurement config: single worker so cycles/s measures
+        // the simulator loop, not thread scheduling.
         threads: 1,
         scale: 128,
         seed: 538_379_561,
@@ -167,7 +111,6 @@ fn real_main() -> Result<(), CliError> {
     cfg.limits.cpu_instructions = 200_000;
     let mut out_path = String::from("BENCH_hotpath.json");
     let mut baseline_path = String::from("BENCH_hotpath.json");
-    let mut record_path: Option<String> = None;
     let mut band = GATE_TRAJECTORY_BAND;
     let mut drivers: Vec<String> = ["fig1+2", "fig3", "fig8", "fig9+10+11", "fig12", "fig13+14"]
         .iter()
@@ -195,7 +138,6 @@ fn real_main() -> Result<(), CliError> {
                 match key {
                     "--out" => out_path = val.clone(),
                     "--baseline" => baseline_path = val.clone(),
-                    "--record" => record_path = Some(val.clone()),
                     "--band" => {
                         band = val.parse().map_err(|_| {
                             CliError::Usage(format!("--band wants a fraction, got {val:?}"))
@@ -222,26 +164,16 @@ fn real_main() -> Result<(), CliError> {
             return Err(CliError::Usage(format!("unknown driver {id:?}")));
         }
     }
-    if record_path.is_some() && !gate {
-        return Err(CliError::Usage(
-            "--record only makes sense with --gate (it records green gate runs)".into(),
-        ));
-    }
     cfg.validate()
         .map_err(|e| CliError::Config(e.to_string()))?;
     if quick {
-        // CI smoke: one small driver pair, seconds not minutes.
+        // CI smoke: one small driver, seconds not minutes.
         cfg.scale = 256;
         cfg.limits.cpu_instructions = 60_000;
         cfg.limits.gpu_frames = 2;
         cfg.limits.warmup_cycles = 30_000;
         drivers = vec!["fig1+2".to_string()];
     }
-    let at_recorded_config = !quick
-        && cfg.scale == 128
-        && cfg.limits.gpu_frames == 4
-        && cfg.limits.cpu_instructions == 200_000
-        && cfg.seed == 538_379_561;
 
     let mut lines = Vec::new();
     let mut regressions: Vec<String> = Vec::new();
@@ -259,7 +191,7 @@ fn real_main() -> Result<(), CliError> {
     );
     // Trajectory gate reference: the last recorded point per driver at
     // exactly this config (empty when the baseline file is absent or has
-    // no comparable block — the gate then only checks ff-vs-baseline).
+    // no comparable block — the gate then has nothing to compare).
     let recorded_points = if gate {
         let fp = meta_fingerprint(&lines[0]).expect("hotbench meta line must fingerprint");
         match std::fs::read_to_string(&baseline_path) {
@@ -274,63 +206,32 @@ fn real_main() -> Result<(), CliError> {
     };
 
     for id in &drivers {
-        eprintln!("# {id}: cycle-by-cycle baseline ...");
-        let mut base_cfg = cfg.clone();
-        base_cfg.fast_forward = false;
-        let base = run_once(id, &base_cfg);
-        assert_eq!(base.skipped, 0, "baseline must not fast-forward");
-        eprintln!("# {id}: fast-forward ...");
-        let ff = run_once(id, &cfg);
-        assert_eq!(
-            base.tables, ff.tables,
-            "{id}: fast-forward changed the figure tables"
+        eprintln!("# {id} ...");
+        let start = Instant::now();
+        let (_, cycles) = figure_run(id, &cfg);
+        let wall_s = start.elapsed().as_secs_f64();
+        let cps = cycles as f64 / wall_s;
+        eprintln!("# {id}: {wall_s:.2}s, {cycles} cycles, {cps:.0} cycles/s");
+        lines.push(
+            Obj::new()
+                .str("type", "hotbench")
+                .str("driver", id)
+                .f64("wall_s", wall_s)
+                .u64("cycles_simulated", cycles)
+                .f64("cycles_per_s", cps)
+                .finish(),
         );
-        let speedup = base.wall_s / ff.wall_s;
-        let ff_cps = ff.simulated as f64 / ff.wall_s;
-        let skip_pct = 100.0 * ff.skipped as f64 / ff.simulated.max(1) as f64;
-        eprintln!(
-            "# {id}: {:.2}s -> {:.2}s ({speedup:.2}x), {:.1}% of {} cycles skipped in {} spans",
-            base.wall_s, ff.wall_s, skip_pct, ff.simulated, ff.spans
-        );
-        let mut obj = Obj::new()
-            .str("type", "hotbench")
-            .str("driver", id)
-            .f64("baseline_wall_s", base.wall_s)
-            .f64("ff_wall_s", ff.wall_s)
-            .f64("speedup", speedup)
-            .u64("cycles_simulated", ff.simulated)
-            .u64("cycles_skipped", ff.skipped)
-            .f64("skip_pct", skip_pct)
-            .f64("baseline_cycles_per_s", base.simulated as f64 / base.wall_s)
-            .f64("ff_cycles_per_s", ff_cps);
-        if at_recorded_config {
-            if let Some(&(_, rec)) = RECORDED_BASELINE_S.iter().find(|(d, _)| d == id) {
-                let vs = rec / ff.wall_s;
-                eprintln!("# {id}: {vs:.2}x vs the recorded pre-optimization loop ({rec:.1}s)");
-                obj = obj
-                    .f64("recorded_baseline_s", rec)
-                    .f64("speedup_vs_recorded", vs);
-            }
-        }
-        lines.push(obj.finish());
         if gate {
-            if ff.wall_s > base.wall_s * (1.0 + GATE_NOISE_FRAC) + GATE_NOISE_ABS_S {
-                regressions.push(format!(
-                    "{id}: fast-forward {:.2}s vs cycle-by-cycle {:.2}s",
-                    ff.wall_s, base.wall_s
-                ));
-            }
             match recorded_points.get(id.as_str()) {
                 Some(&rec) => {
                     eprintln!(
-                        "# {id}: trajectory {:.0} cycles/s vs recorded {rec:.0} ({:.2}x, band -{:.0}%)",
-                        ff_cps,
-                        ff_cps / rec,
+                        "# {id}: trajectory {cps:.0} cycles/s vs recorded {rec:.0} ({:.2}x, band -{:.0}%)",
+                        cps / rec,
                         band * 100.0
                     );
-                    if ff_cps < rec * (1.0 - band) {
+                    if cps < rec * (1.0 - band) {
                         regressions.push(format!(
-                            "{id}: ff_cycles_per_s {ff_cps:.0} below recorded {rec:.0} minus {:.0}% band",
+                            "{id}: cycles_per_s {cps:.0} below recorded {rec:.0} minus {:.0}% band",
                             band * 100.0
                         ));
                     }
@@ -344,12 +245,6 @@ fn real_main() -> Result<(), CliError> {
     eprintln!("# appended trajectory point to {out_path}");
     if !regressions.is_empty() {
         return Err(CliError::Gate(regressions.join("; ")));
-    }
-    // Green gate: also append to the recorded trajectory, so passing CI
-    // runs keep the baseline current without a manual recording step.
-    if let Some(rec) = &record_path {
-        append_trajectory(rec, &lines)?;
-        eprintln!("# gate green: recorded trajectory point in {rec}");
     }
     Ok(())
 }

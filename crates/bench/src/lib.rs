@@ -45,8 +45,8 @@ pub enum CliError {
     /// The simulation itself aborted (liveness watchdog, paranoia
     /// invariant check, cycle-limit overrun): exit 3.
     Sim(SimError),
-    /// A performance gate tripped (`hotbench --gate`: fast-forward slower
-    /// than the cycle-by-cycle loop beyond the noise band): exit 3.
+    /// A performance gate tripped (`hotbench --gate`: cycles/s below the
+    /// recorded anchor beyond the band): exit 3.
     Gate(String),
 }
 
@@ -111,43 +111,77 @@ pub fn fault_plan_from(cli_spec: Option<String>) -> Result<FaultPlan, CliError> 
 /// # Panics
 /// Panics on an unknown figure id.
 pub fn figure_tables(id: &str, cfg: &ExpConfig) -> Vec<Table> {
+    figure_run(id, cfg).0
+}
+
+/// Like [`figure_tables`], plus the CPU cycles the figure's runs
+/// simulated (warm-up included), for throughput accounting.
+///
+/// # Panics
+/// Panics on an unknown figure id.
+pub fn figure_run(id: &str, cfg: &ExpConfig) -> (Vec<Table>, u64) {
     match id {
-        "fig1" => vec![experiments::motivation(cfg).fig1_table()],
-        "fig2" => vec![experiments::motivation(cfg).fig2_table()],
+        "fig1" => {
+            let m = experiments::motivation(cfg);
+            (vec![m.fig1_table()], m.sim_cycles)
+        }
+        "fig2" => {
+            let m = experiments::motivation(cfg);
+            (vec![m.fig2_table()], m.sim_cycles)
+        }
         "fig1+2" | "motivation" => {
             let m = experiments::motivation(cfg);
-            vec![m.fig1_table(), m.fig2_table()]
+            (vec![m.fig1_table(), m.fig2_table()], m.sim_cycles)
         }
-        "fig3" => vec![experiments::fig3(cfg).table()],
-        "fig8" => vec![experiments::fig8(cfg).table()],
+        "fig3" => {
+            let f = experiments::fig3(cfg);
+            (vec![f.table()], f.sim_cycles)
+        }
+        "fig8" => {
+            let f = experiments::fig8(cfg);
+            (vec![f.table()], f.sim_cycles)
+        }
         "fig9" => {
             let e = experiments::throttle_eval(cfg);
-            vec![e.fig9_fps_table(), e.fig9_ws_table()]
+            (vec![e.fig9_fps_table(), e.fig9_ws_table()], e.sim_cycles)
         }
         "fig9+10+11" | "throttle" => {
             let e = experiments::throttle_eval(cfg);
-            vec![
+            let tables = vec![
                 e.fig9_fps_table(),
                 e.fig9_ws_table(),
                 e.fig10_table(),
                 e.fig11_table(),
-            ]
+            ];
+            (tables, e.sim_cycles)
         }
-        "fig10" => vec![experiments::throttle_eval(cfg).fig10_table()],
-        "fig11" => vec![experiments::throttle_eval(cfg).fig11_table()],
+        "fig10" => {
+            let e = experiments::throttle_eval(cfg);
+            (vec![e.fig10_table()], e.sim_cycles)
+        }
+        "fig11" => {
+            let e = experiments::throttle_eval(cfg);
+            (vec![e.fig11_table()], e.sim_cycles)
+        }
         "fig12" => {
             let c = experiments::comparison(cfg, true);
-            vec![c.fps_table(), c.ws_table()]
+            (vec![c.fps_table(), c.ws_table()], c.sim_cycles)
         }
         "fig13" => {
             let c = experiments::comparison(cfg, false);
-            vec![c.fps_table(), c.ws_table()]
+            (vec![c.fps_table(), c.ws_table()], c.sim_cycles)
         }
         "fig13+14" => {
             let c = experiments::comparison(cfg, false);
-            vec![c.fps_table(), c.ws_table(), c.fig14_table()]
+            (
+                vec![c.fps_table(), c.ws_table(), c.fig14_table()],
+                c.sim_cycles,
+            )
         }
-        "fig14" => vec![experiments::comparison(cfg, false).fig14_table()],
+        "fig14" => {
+            let c = experiments::comparison(cfg, false);
+            (vec![c.fig14_table()], c.sim_cycles)
+        }
         other => panic!("unknown figure id {other:?}; known: {FIGURES:?}"),
     }
 }

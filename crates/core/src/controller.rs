@@ -419,14 +419,6 @@ impl QosController {
         }
     }
 
-    /// The GPU cycle at or after which the next periodic policy evaluation
-    /// fires (it runs from `note_sends`, so it only actually happens on a
-    /// GPU tick with nonzero sends or a quota probe — this is the earliest
-    /// candidate deadline for an idle-span driver).
-    pub fn next_eval_at(&self) -> Cycle {
-        self.next_eval
-    }
-
     /// Cycle-level signals for the DRAM scheduler.
     pub fn signals(&self, now: Cycle) -> QosSignals {
         let throttling = self.atu.is_throttling();

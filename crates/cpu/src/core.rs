@@ -81,7 +81,6 @@ pub struct Core {
     outstanding_chases: gat_sim::hashing::FastSet<u64>,
     dispatch_credit: f64,
     /// Dispatch is frozen until this cycle (branch-misprediction refill).
-    // gat-lint: wake-state (next_wake reports it as the frontend horizon)
     frontend_stall_until: Cycle,
     /// Instructions until the next (deterministically spaced) mispredict.
     instrs_to_misp: u64,
@@ -173,9 +172,9 @@ impl Core {
     /// work (flushed a write-back, committed, touched the cache hierarchy,
     /// or dispatched) — `false` means the tick was inert: only the
     /// per-cycle counters and the dispatch-credit accrual moved, exactly
-    /// what [`Core::fast_forward`] replays. The system's wake calendar
-    /// uses the first inert tick as the (cheap) signal to compute and arm
-    /// this core's [`Core::next_wake`] instead of polling every cycle.
+    /// what [`Core::fast_forward`] replays. The system uses an inert tick
+    /// as the (cheap) signal to compute this core's [`Core::next_wake`]
+    /// and skip its ticks until then, instead of probing every cycle.
     pub fn tick(&mut self, now: Cycle, port: &mut dyn MemPort) -> bool {
         self.cycles.inc();
         let flushed = self.hierarchy.writebacks_queued() > 0;
@@ -331,7 +330,6 @@ impl Core {
                 self.instrs_to_misp -= 1;
                 if self.instrs_to_misp == 0 {
                     self.instrs_to_misp = (1000.0 / profile.branch_mpki) as u64;
-                    // gat-lint: allow(R10, "certified externally: the system re-probes next_wake after every executed core tick; cores do not own a calendar slot")
                     self.frontend_stall_until = now + Cycle::from(self.cfg.branch_penalty);
                     self.branch_mispredicts.inc();
                     break;
@@ -417,6 +415,12 @@ impl Core {
             }
         }
         Some(wake)
+    }
+
+    /// Accrued dispatch credit: the one piece of non-counter state that
+    /// [`Core::fast_forward`] replays.
+    pub fn dispatch_credit(&self) -> f64 {
+        self.dispatch_credit
     }
 
     /// Batch-advance the per-cycle state over the inert span `[from, to)`

@@ -22,8 +22,6 @@
 //! wraps, so pick logic always compares stamps rather than trusting list
 //! position.
 
-// gat-lint: allow-file(R10, "certified externally: done_min/next_refresh feed the completion horizon that Uncore::next_wake re-probes after every executed DRAM tick; the calendar slot is owned by hetero::system")
-
 use crate::energy::{DramEnergy, DramEnergyModel};
 use crate::mapping::DramCoord;
 use crate::sched::{ReqInfo, SchedCtx, SchedulerImpl};
@@ -168,8 +166,7 @@ pub struct DramChannel {
     scheduler: SchedulerImpl,
     completions: Vec<Completion>,
     /// Exact earliest `done_at` over `completions` (`u64::MAX` when
-    /// empty) — O(1) drain early-out and quiescence-probe horizon.
-    // gat-lint: wake-state (quiescence-probe horizon)
+    /// empty) — O(1) drain early-out.
     done_min: u64,
     /// Scratch for the generic-policy scheduler view (kept empty between
     /// ticks; unused on the FR-FCFS fast path).
@@ -193,7 +190,6 @@ pub struct DramChannel {
     /// Currently in a write-drain burst.
     draining_writes: bool,
     /// Next cycle at which a REF command is due.
-    // gat-lint: wake-state (REF deadline feeds the probe horizon)
     next_refresh: u64,
     energy_model: DramEnergyModel,
     pub energy: DramEnergy,
@@ -244,8 +240,8 @@ impl DramChannel {
     }
 
     /// Arm the response-delay fault injector (chaos harness; see
-    /// `gat_sim::faults`). Draws happen only at issue time, which runs
-    /// identically with fast-forward on or off, so faulted runs stay
+    /// `gat_sim::faults`). Draws happen only at issue time, which the
+    /// starved-span skip never elides, so faulted runs stay
     /// byte-deterministic.
     pub fn set_fault_injector(&mut self, inj: DelayInjector) {
         self.fault = Some(inj);
@@ -719,40 +715,6 @@ impl DramChannel {
         self.done_min = remaining;
         // Deterministic delivery order regardless of swap_remove shuffling.
         out.sort_by_key(|c| (c.done_at, c.id));
-    }
-
-    /// Any requests waiting in the command queue? While this holds, the
-    /// channel must be ticked every DRAM cycle (the scheduler may issue,
-    /// and some schedulers consult an RNG).
-    pub fn has_queued_requests(&self) -> bool {
-        self.len > 0
-    }
-
-    /// Earliest DRAM cycle at which an *idle* (empty-queue) channel next
-    /// does time-driven work: a completion coming due or the periodic REF.
-    /// REF fires on idle channels too, so it is always a horizon.
-    pub fn next_event(&self) -> u64 {
-        self.done_min.min(self.next_refresh)
-    }
-
-    /// Batch-advance `d` idle (empty-queue, pre-refresh, pre-completion)
-    /// DRAM cycles that a fast-forwarding driver skipped. Replays exactly
-    /// what `tick` would have done on each: the tick/boost counters and
-    /// the per-cycle background-energy accumulation (added one cycle at a
-    /// time — float addition is not associative and the totals must stay
-    /// bit-identical to per-cycle ticking). The priority-boost line cannot
-    /// flip mid-span: it only changes at QoS evaluations, which are hard
-    /// wake-ups.
-    pub fn fast_forward_idle(&mut self, d: u64, cpu_prio_boost: bool) {
-        debug_assert!(self.len == 0);
-        debug_assert_eq!(cpu_prio_boost, self.last_prio_boost);
-        self.stats.ticks.add(d);
-        if cpu_prio_boost {
-            self.stats.prio_boost_ticks.add(d);
-        }
-        for _ in 0..d {
-            self.energy.background_pj += self.energy_model.background_pj_per_cycle;
-        }
     }
 
     /// Validate queue bookkeeping against the slab (GAT_PARANOIA sweeps):

@@ -18,8 +18,6 @@
 //! pipeline. All GPU fills are tagged [`Source::Gpu`] so the LLC can apply
 //! its non-inclusive GPU policy and the bypass/throttling proposals.
 
-// gat-lint: allow-file(R10, "certified externally: the system re-probes GpuPipeline::next_wake (which checks outbound) after every executed GPU tick; the calendar slot is owned by hetero::system")
-
 use gat_cache::{
     AccessKind, CacheConfig, MshrFile, MshrOutcome, ReplacementPolicy, SetAssocCache, Source,
 };
@@ -138,7 +136,6 @@ pub struct GpuCaches {
     depth_mshr: MshrFile,
     vertex_mshr: MshrFile,
     /// Misses/evictions waiting to enter the GPU memory interface.
-    // gat-lint: wake-state (a non-empty queue makes the pipeline active)
     pub outbound: std::collections::VecDeque<OutboundReq>,
 }
 

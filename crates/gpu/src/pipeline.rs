@@ -452,129 +452,11 @@ impl GpuPipeline {
         sent
     }
 
-    /// Earliest GPU cycle at or after `gpu_now` (the next cycle this
-    /// pipeline would be ticked) at which ticking could do observable
-    /// work. `gate_reopen` is the ATU window expiry if the throttle gate
-    /// is closed at `gpu_now` (`None` = gate open).
-    ///
-    /// `None` means active at `gpu_now`; `Some(w)` means every tick in
-    /// `[gpu_now, w)` only advances per-cycle accumulators (the
-    /// shade-budget float and, when gated, `gated_cycles`), replayed
-    /// exactly by [`GpuPipeline::fast_forward`]. All stages of `tick` run
-    /// even on a gated cycle, so every stage must be provably inert.
-    pub fn next_wake(&self, gpu_now: Cycle, gate_reopen: Option<Cycle>) -> Option<Cycle> {
-        // Cache-generated traffic is pulled into the interface every tick,
-        // before the gate check.
-        if !self.caches.outbound.is_empty() {
-            return None;
-        }
-        let mut wake = Cycle::MAX;
-        if !self.iface.is_empty() {
-            match gate_reopen {
-                // Gate open: the interface sends (or probes the port) now.
-                None => return None,
-                // Gate closed: each tick only bumps `gated_cycles`; the
-                // window expiry is a hard wake.
-                Some(reopen) => wake = wake.min(reopen),
-            }
-        }
-        // ROP front attempts a depth read every cycle (side effects even
-        // on Stall).
-        if !self.rop_in.is_empty() {
-            return None;
-        }
-        if let Some(&gid) = self.shading.front() {
-            if let GState::Shading(at) = self.groups[gid as usize].state {
-                if at <= gpu_now {
-                    return None;
-                }
-                wake = wake.min(at);
-            }
-        }
-        // Shade budget accrues every tick; groups launch once it crosses
-        // 1.0. Replay the rounded float sequence to find the exact
-        // crossing (analytic division can be off by a ULP-induced cycle).
-        let rate = self.workload.profile().shade_rate / f64::from(self.cfg.group_size);
-        if !self.shade_ready.is_empty() {
-            let mut b = self.shade_budget;
-            let mut m: Cycle = 0;
-            loop {
-                let next = (b + rate).min(64.0);
-                m += 1;
-                if next >= 1.0 {
-                    if m == 1 {
-                        return None;
-                    }
-                    wake = wake.min(gpu_now + m - 1);
-                    break;
-                }
-                if next == b {
-                    break; // saturated below 1.0: never launches
-                }
-                b = next;
-            }
-        }
-        // Raster part 1: a front group still issuing texels reads the
-        // texture cache unless the interface is full (checked before any
-        // read); an empty-texel front is classified unconditionally.
-        if let Some((_, texels)) = self.emit_stage.front() {
-            if texels.is_empty() || self.iface.len() < self.cfg.iface_queue {
-                return None;
-            }
-        }
-        // Raster part 2: new-group emission runs even when part 1 stalls.
-        if self.emit_stage.len() < 8
-            && (self.cur_rtp as usize) < self.frame_plans.len()
-            && !self.rtp_tracks[self.cur_rtp as usize].emit_finished
-            && !self.free.is_empty()
-        {
-            return None;
-        }
-        // Boundary reporting: a completed-but-unreported RTP (or the
-        // frame-completion path) fires this cycle.
-        match self.rtp_tracks.get(self.next_report_rtp as usize) {
-            Some(t) => {
-                if t.emit_finished && t.done == t.emitted && !t.reported {
-                    return None;
-                }
-            }
-            None => return None,
-        }
-        Some(wake)
-    }
-
-    /// Batch-advance `g` inert GPU cycles (each certified by
-    /// [`GpuPipeline::next_wake`]). `gated` says the interface was
-    /// non-empty behind a closed throttle gate for the whole span, which
-    /// per-cycle ticking would have counted in `gated_cycles`. The
-    /// shade-budget accumulator is replayed addition-by-addition for
-    /// bit-identical totals; once saturated at its cap further additions
-    /// are no-ops.
-    pub fn fast_forward(&mut self, g: Cycle, gated: bool) {
-        if g == 0 {
-            return;
-        }
-        if gated {
-            self.stats.gated_cycles.add(g);
-        }
-        let rate = self.workload.profile().shade_rate / f64::from(self.cfg.group_size);
-        let mut d = g;
-        while d > 0 {
-            let next = (self.shade_budget + rate).min(64.0);
-            if next == self.shade_budget {
-                break;
-            }
-            self.shade_budget = next;
-            d -= 1;
-        }
-    }
-
     fn drain_iface(&mut self, now: Cycle, quota: u32, port: &mut dyn MemPort) -> u32 {
         // Pull cache-generated traffic into the interface queue.
         while !self.caches.outbound.is_empty() && self.iface.len() < self.cfg.iface_queue + 16 {
             // Evictions may briefly overflow the nominal queue (the +16):
             // they cannot be refused without losing data.
-            // gat-lint: allow(R10, "drain toward quiescence; the system re-probes next_wake after every executed GPU tick")
             let req = self.caches.outbound.pop_front().unwrap();
             self.iface.push_back(req);
         }

@@ -50,8 +50,8 @@ pub struct RunLimits {
     /// Hard wall: abort the run after this many CPU cycles.
     pub max_cycles: Cycle,
     /// Liveness watchdog window: if the machine makes no goal-directed
-    /// forward progress for this many cycles while claiming to be active
-    /// (no quiescent wait the fast-forward engine could certify), the run
+    /// forward progress for this many cycles and no timed gate (a GPU
+    /// stall burst or a closed ATU window) explains the wait, the run
     /// aborts with `SimError::Wedged` instead of spinning to `max_cycles`.
     /// `0` disables the watchdog.
     pub watchdog: Cycle,
@@ -124,11 +124,6 @@ pub struct MachineConfig {
     /// QoS target frame rate (the paper uses 40 FPS = 30 FPS visual
     /// acceptability + a 10 FPS cushion, §II).
     pub target_fps: f64,
-    /// Quiescence-aware fast-forward: skip spans where every component is
-    /// provably inert (byte-identical results; see DESIGN.md). Default on;
-    /// the `GAT_NO_FASTFORWARD=1` environment variable forces it off for
-    /// bisection against the reference cycle-by-cycle loop.
-    pub fast_forward: bool,
     /// Deterministic fault-injection plan (chaos testing; see
     /// `gat_sim::faults`). `FaultPlan::none()` — the default — is
     /// byte-identical to a build without the fault layer.
@@ -169,7 +164,6 @@ impl MachineConfig {
             gpu_llc_ways: None,
             partition_channels: false,
             target_fps: 40.0,
-            fast_forward: true,
             faults: FaultPlan::none(),
         }
     }

@@ -17,8 +17,8 @@ pub enum SimError {
     /// The run hit `RunLimits::max_cycles` before meeting its goals.
     MaxCycles { cycle: Cycle, limit: Cycle },
     /// The liveness watchdog saw no forward progress for a full window
-    /// while the machine claimed to be active (no quiescent wait to
-    /// fast-forward over). `diagnostic` is a JSONL dump: one summary
+    /// while nothing timed (a GPU stall burst or a closed ATU window) held
+    /// the machine back. `diagnostic` is a JSONL dump: one summary
     /// object followed by a full registry snapshot.
     Wedged {
         cycle: Cycle,

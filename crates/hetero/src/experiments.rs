@@ -34,8 +34,6 @@ pub struct ExpConfig {
     pub limits: RunLimits,
     /// Worker threads for independent simulations.
     pub threads: usize,
-    /// Quiescence-aware fast-forward (see [`MachineConfig::fast_forward`]).
-    pub fast_forward: bool,
     /// Fault-injection plan applied to every machine the drivers build
     /// (see [`FaultPlan`]); fault-free by default.
     pub faults: FaultPlan,
@@ -60,7 +58,6 @@ impl Default for ExpConfig {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            fast_forward: true,
             faults: FaultPlan::none(),
         }
     }
@@ -93,7 +90,6 @@ impl ExpConfig {
             MachineConfig::table_one(self.scale, self.seed)
         };
         m.limits = self.limits;
-        m.fast_forward = self.fast_forward;
         m.faults = self.faults.clone();
         m
     }
@@ -188,6 +184,14 @@ where
         .collect()
 }
 
+/// CPU cycles the finished runs simulated, warm-up included.
+fn sim_cycles(cfg: &ExpConfig, results: &[RunResult]) -> u64 {
+    results
+        .iter()
+        .map(|r| cfg.limits.warmup_cycles + r.cycles)
+        .sum()
+}
+
 fn run_one(mut m: MachineConfig, mix: &Mix, with_cpu: bool, with_gpu: bool) -> RunResult {
     if !with_cpu {
         m.num_cpus = m.num_cpus.max(1);
@@ -219,6 +223,8 @@ pub struct MotivationRow {
 #[derive(Debug, Clone)]
 pub struct Motivation {
     pub rows: Vec<MotivationRow>,
+    /// CPU cycles simulated across all runs, warm-up included.
+    pub sim_cycles: u64,
 }
 
 /// Run the W1–W14 motivation study (Fig. 1 and Fig. 2 share these runs).
@@ -253,7 +259,10 @@ pub fn motivation(cfg: &ExpConfig) -> Motivation {
             }
         })
         .collect();
-    Motivation { rows }
+    Motivation {
+        rows,
+        sim_cycles: sim_cycles(cfg, &results),
+    }
 }
 
 impl Motivation {
@@ -302,6 +311,8 @@ pub struct Fig3Row {
 #[derive(Debug, Clone)]
 pub struct Fig3 {
     pub rows: Vec<Fig3Row>,
+    /// CPU cycles simulated across all runs, warm-up included.
+    pub sim_cycles: u64,
 }
 
 /// CPU speedup when all GPU read misses bypass the LLC (W mixes).
@@ -325,7 +336,10 @@ pub fn fig3(cfg: &ExpConfig) -> Fig3 {
             cpu_speedup: results[i * 2 + 1].cores[0].ipc / results[i * 2].cores[0].ipc,
         })
         .collect();
-    Fig3 { rows }
+    Fig3 {
+        rows,
+        sim_cycles: sim_cycles(cfg, &results),
+    }
 }
 
 impl Fig3 {
@@ -359,6 +373,8 @@ pub struct Fig8Row {
 #[derive(Debug, Clone)]
 pub struct Fig8 {
     pub rows: Vec<Fig8Row>,
+    /// CPU cycles simulated across all runs, warm-up included.
+    pub sim_cycles: u64,
 }
 
 /// Percent error of dynamic frame-rate estimation across the M mixes.
@@ -384,7 +400,10 @@ pub fn fig8(cfg: &ExpConfig) -> Fig8 {
             }
         })
         .collect();
-    Fig8 { rows }
+    Fig8 {
+        rows,
+        sim_cycles: sim_cycles(cfg, &results),
+    }
 }
 
 impl Fig8 {
@@ -448,16 +467,19 @@ pub struct ThrottleRow {
 #[derive(Debug, Clone)]
 pub struct ThrottleEval {
     pub rows: Vec<ThrottleRow>,
+    /// CPU cycles simulated across all runs, warm-up included.
+    pub sim_cycles: u64,
 }
 
 /// Compute per-application standalone IPCs (each app alone on the
-/// machine) for the weighted-speedup denominators.
+/// machine) for the weighted-speedup denominators, and the CPU cycles
+/// those runs simulated.
 ///
 /// Keyed by `BTreeMap`, not a hash map: the map is only ever probed by
 /// spec id today, but a `BTreeMap` makes any future iteration ordered by
 /// construction, so the determinism contract (gat-lint rule R1) cannot be
 /// broken by a refactor that starts walking it.
-fn alone_ipcs(cfg: &ExpConfig, mixes: &[Mix]) -> BTreeMap<u16, f64> {
+fn alone_ipcs(cfg: &ExpConfig, mixes: &[Mix]) -> (BTreeMap<u16, f64>, u64) {
     let mut ids: Vec<u16> = mixes
         .iter()
         .flat_map(|m| m.cpu.iter().map(|p| p.spec_id))
@@ -469,9 +491,11 @@ fn alone_ipcs(cfg: &ExpConfig, mixes: &[Mix]) -> BTreeMap<u16, f64> {
         let m = cfg.machine(4);
         HeteroSystem::new(m, &[p], None).run()
     });
-    ids.into_iter()
+    let ipcs = ids
+        .into_iter()
         .zip(results.iter().map(|r| r.cores[0].ipc))
-        .collect()
+        .collect();
+    (ipcs, sim_cycles(cfg, &results))
 }
 
 fn weighted_speedup(r: &RunResult, alone: &BTreeMap<u16, f64>) -> f64 {
@@ -514,7 +538,7 @@ pub fn non_amenable_mixes() -> Vec<Mix> {
 /// Run the Fig. 9/10/11 evaluation.
 pub fn throttle_eval(cfg: &ExpConfig) -> ThrottleEval {
     let mixes = amenable_mixes();
-    let alone = alone_ipcs(cfg, &mixes);
+    let (alone, alone_cycles) = alone_ipcs(cfg, &mixes);
     let jobs: Vec<(usize, &Mix, QosMode)> = mixes
         .iter()
         .enumerate()
@@ -594,7 +618,10 @@ pub fn throttle_eval(cfg: &ExpConfig) -> ThrottleEval {
             }
         })
         .collect();
-    ThrottleEval { rows }
+    ThrottleEval {
+        rows,
+        sim_cycles: alone_cycles + sim_cycles(cfg, &results),
+    }
 }
 
 impl ThrottleEval {
@@ -692,6 +719,8 @@ pub struct Comparison {
     /// True when built on the amenable mixes (Fig. 12), false for the
     /// non-amenable set (Fig. 13/14).
     pub amenable: bool,
+    /// CPU cycles simulated across all runs, warm-up included.
+    pub sim_cycles: u64,
 }
 
 /// Run the proposal comparison on the given mixes.
@@ -701,7 +730,7 @@ pub fn comparison(cfg: &ExpConfig, amenable: bool) -> Comparison {
     } else {
         non_amenable_mixes()
     };
-    let alone = alone_ipcs(cfg, &mixes);
+    let (alone, alone_cycles) = alone_ipcs(cfg, &mixes);
     let jobs: Vec<(usize, &Mix, Proposal)> = mixes
         .iter()
         .enumerate()
@@ -735,7 +764,11 @@ pub fn comparison(cfg: &ExpConfig, amenable: bool) -> Comparison {
             }
         })
         .collect();
-    Comparison { rows, amenable }
+    Comparison {
+        rows,
+        amenable,
+        sim_cycles: alone_cycles + sim_cycles(cfg, &results),
+    }
 }
 
 impl Comparison {

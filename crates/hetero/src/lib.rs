@@ -15,7 +15,6 @@ pub mod config;
 pub mod error;
 pub mod events;
 pub mod experiments;
-pub mod ffstats;
 pub mod metrics;
 pub mod report;
 pub mod system;

@@ -18,7 +18,6 @@ use gat_cpu::stream::Op;
 use gat_cpu::{Core, CpuHierarchy, InstructionStream, SpecProfile, StreamGen, TraceStream};
 use gat_dram::{SchedCtx, SchedulerKind};
 use gat_gpu::{GameProfile, GpuEvent, GpuPipeline, WorkloadGen};
-use gat_sim::calendar::WakeCalendar;
 use gat_sim::events::{EventBus, Poll, SubscriberId};
 use gat_sim::faults::StallWindow;
 use gat_sim::json::{Arr, Obj};
@@ -31,13 +30,6 @@ use std::sync::Arc;
 /// stream — per-evaluation throttle adjustments plus frame boundaries —
 /// between two polls of a per-frame consumer.
 const RUN_EVENT_RING: usize = 1 << 16;
-
-/// Machine-wide jumps shorter than this tick through instead: the batch
-/// replay (per-core credit loops, per-channel DRAM accounting) has fixed
-/// overhead that a single certified-inert tick undercuts. The span is
-/// still probe-free — `quiet_until` covers it — so short waits cost almost
-/// nothing either way.
-const MIN_JUMP_SPAN: Cycle = 2;
 
 /// The machine.
 pub struct HeteroSystem {
@@ -72,41 +64,19 @@ pub struct HeteroSystem {
     /// Named metrics, synced from component stats before each snapshot.
     registry: MetricsRegistry,
     /// Emit an [`RunEvent::EpochSnapshot`] every this many CPU cycles.
-    // gat-lint: wake-state (the epoch sampler's wake slot tracks this)
     epoch_interval: Option<Cycle>,
-    // gat-lint: wake-state
     next_epoch: Cycle,
     /// Last CPU-priority state handed to the DRAM scheduler (flip events).
     last_sched_boost: bool,
-    /// Quiescence-aware fast-forward enabled (config AND the
-    /// `GAT_NO_FASTFORWARD` escape hatch).
-    fast_forward: bool,
-    /// Cycles skipped by fast-forward so far (subset of `now`).
-    ff_skipped: Cycle,
-    /// Contiguous fast-forward jumps taken so far.
-    ff_spans: u64,
-    /// Central wake calendar (DESIGN.md §8): one slot per CPU core, then
-    /// the uncore, the GPU complex (pipeline + ATU gate + QoS evaluation)
-    /// and the epoch sampler. An armed slot is a cached quiescence
-    /// certification; delivery hooks in `tick` cancel it the moment the
-    /// source receives external input.
-    wakes: WakeCalendar,
-    /// Next cycle each core must actually execute. A core with an armed
-    /// future wake skips its tick; `Core::fast_forward` replays the gap
-    /// lazily before the next delivery, probe, tick or measurement.
+    /// Per-core inert-tick skipping (DESIGN.md §8): each core's next
+    /// cycle of possible work. A core whose wake lies in the future skips
+    /// its tick; an inert tick re-arms it from `Core::next_wake`, and a
+    /// completion or back-invalidation resets it to 0.
+    core_wake: Vec<Cycle>,
+    /// Next cycle each core must actually execute. `Core::fast_forward`
+    /// replays the skipped gap before the core's next delivery, tick or
+    /// measurement.
     core_synced: Vec<Cycle>,
-    /// `now` is inside a machine-wide certified-quiet window ending here;
-    /// until it expires no calendar refresh is needed at all.
-    // gat-lint: wake-state
-    quiet_until: Cycle,
-    /// Uncore ingress count at the last calendar refresh (new requests
-    /// invalidate the uncore's cached certification).
-    last_ingress: u64,
-    /// Cores whose last executed tick did observable work (they pushed no
-    /// wake). While non-zero the machine is trivially active: a calendar
-    /// refresh would find an uncertified core, so `try_fast_forward`
-    /// returns on this one integer instead of walking the slots.
-    cores_active: usize,
     // Chaos-plan pieces copied out of `cfg.faults` (borrow-friendly in
     // `tick`). All `None`/zero for the fault-free plan.
     /// Periodic GPU frame-stall bursts: quota forced to 0 while stalled.
@@ -117,15 +87,14 @@ pub struct HeteroSystem {
     /// controller observes (architectural state always sees the truth).
     frpu_jitter: f64,
     /// Dedicated noise stream; draws happen only on GPU ticks that
-    /// produced events, so fast-forward cannot perturb it.
+    /// produced events, so nothing else can perturb it.
     frpu_rng: Option<SimRng>,
     /// Scratch for the jittered event copies (restored empty).
     jitter_buf: Vec<GpuEvent>,
     /// Invariant checking each tick of `try_run` (`GAT_PARANOIA=1`).
     paranoia: bool,
     /// Liveness watchdog window (`limits.watchdog`; 0 disables) and the
-    /// next deadline. A certified-quiescent fast-forward jump pushes the
-    /// deadline (legitimate waiting is not a wedge).
+    /// next deadline.
     wd_window: Cycle,
     wd_next: Cycle,
 }
@@ -155,6 +124,16 @@ fn jitter_gpu_event(e: &GpuEvent, stddev: f64, rng: &mut SimRng) -> GpuEvent {
             frame,
             cycles: scale(cycles),
         },
+    }
+}
+
+/// External input (a completion or a back-invalidation) reached a core:
+/// make its next tick due and replay any skipped inert ticks up to `now`.
+fn wake_core(core: &mut Core, wake: &mut Cycle, synced: &mut Cycle, now: Cycle) {
+    *wake = 0;
+    if *synced < now {
+        core.fast_forward(*synced, now);
+        *synced = now;
     }
 }
 
@@ -230,11 +209,8 @@ impl HeteroSystem {
         });
         let qos_sub = qos.as_mut().map(|q| q.subscribe_events());
         let uncore = Uncore::new(&cfg);
-        // Environment knobs come only from the approved module
-        // (gat-lint rule R2): GAT_NO_FASTFORWARD is the escape hatch for
-        // bisecting against the reference loop, GAT_PARANOIA enables the
-        // per-tick invariant sweeps.
-        let fast_forward = cfg.fast_forward && !gat_sim::knobs::no_fastforward();
+        // Environment knobs come only from the approved module (gat-lint
+        // rule R2): GAT_PARANOIA enables the per-tick invariant sweeps.
         let paranoia = gat_sim::knobs::paranoia();
         let frpu_jitter = cfg.faults.frpu_jitter;
         let frpu_rng = (frpu_jitter > 0.0).then(|| cfg.faults.rng_root(cfg.seed).fork("frpu"));
@@ -262,14 +238,8 @@ impl HeteroSystem {
             epoch_interval: None,
             next_epoch: 0,
             last_sched_boost: false,
-            fast_forward,
-            ff_skipped: 0,
-            ff_spans: 0,
-            wakes: WakeCalendar::new(num_cores + 3),
+            core_wake: vec![0; num_cores],
             core_synced: vec![0; num_cores],
-            quiet_until: 0,
-            last_ingress: 0,
-            cores_active: num_cores,
             stall: cfg.faults.gpu_stall,
             wedge: cfg.faults.wedge,
             frpu_jitter,
@@ -282,45 +252,11 @@ impl HeteroSystem {
         }
     }
 
-    /// Is the quiescence-aware fast-forward engine active?
-    pub fn fast_forward_enabled(&self) -> bool {
-        self.fast_forward
-    }
-
-    /// Wake-calendar slot of the uncore (cores occupy `0..num_cores`).
-    fn uncore_token(&self) -> u32 {
-        self.cores.len() as u32
-    }
-
-    /// Wake-calendar slot of the GPU complex.
-    fn gpu_token(&self) -> u32 {
-        self.cores.len() as u32 + 1
-    }
-
-    /// Wake-calendar slot of the epoch sampler.
-    fn epoch_token(&self) -> u32 {
-        self.cores.len() as u32 + 2
-    }
-
-    /// Cycles skipped by fast-forward so far (subset of [`Self::now`]).
+    /// Machine cycles skipped outright. Always 0: there is no machine-wide
+    /// jump; only individual cores skip inert ticks, and every machine
+    /// cycle still executes.
     pub fn ff_skipped(&self) -> Cycle {
-        self.ff_skipped
-    }
-
-    /// Per-instance fast-forward accounting `(simulated, skipped, spans)`
-    /// for this system's run so far.
-    ///
-    /// This is the per-job state-reconstruction hook for batch engines:
-    /// every piece of sticky run state — the watchdog progress
-    /// fingerprint, the QoS controller's fail-open degradation latch
-    /// ([`Self::qos_degraded`]), and these fast-forward counters — lives
-    /// on the `HeteroSystem` instance, so a fresh system per job starts
-    /// from a fully reconstructed state with no cross-job carryover. The
-    /// one exception is the process-wide [`crate::ffstats`] sums, which
-    /// are cumulative by design; per-job consumers must read *this*
-    /// accessor instead.
-    pub fn ff_run_stats(&self) -> (u64, u64, u64) {
-        (self.now, self.ff_skipped, self.ff_spans)
+        0
     }
 
     pub fn now(&self) -> Cycle {
@@ -359,10 +295,6 @@ impl HeteroSystem {
     pub fn set_epoch_sampling(&mut self, interval: Option<Cycle>) {
         self.epoch_interval = interval.filter(|&i| i > 0);
         self.next_epoch = self.now;
-        // Any cached sampler certification is stale now.
-        let token = self.epoch_token();
-        self.wakes.cancel(token);
-        self.quiet_until = self.now;
     }
 
     /// Sync component statistics into the metrics registry under the
@@ -473,8 +405,6 @@ impl HeteroSystem {
     /// Advance one CPU cycle.
     pub fn tick(&mut self) {
         let now = self.now;
-        let gpu_tok = self.gpu_token();
-        let ff = self.fast_forward;
 
         // One port for the whole tick; only the requester source changes
         // between uses (hoisting the construction off the per-core loop).
@@ -484,31 +414,25 @@ impl HeteroSystem {
         };
 
         // 1. Deliver finished reads. (`comp_buf` is restored empty — see
-        // the invariant on the scratch-buffer fields.) External input
-        // cancels the receiver's cached wake; a skipped core is caught up
-        // to `now` before it observes the response.
+        // the invariant on the scratch-buffer fields.) A skipped core is
+        // woken and caught up to `now` before it observes the response.
         let mut comp = std::mem::take(&mut self.comp_buf);
         port.uncore.drain_completions(&mut comp);
         for c in &comp {
             match c.source {
                 Source::Cpu(i) => {
                     let i = i as usize;
-                    if ff {
-                        self.wakes.cancel(i as u32);
-                        let s = self.core_synced[i];
-                        if s < now {
-                            self.cores[i].fast_forward(s, now);
-                            self.core_synced[i] = now;
-                        }
-                    }
+                    wake_core(
+                        &mut self.cores[i],
+                        &mut self.core_wake[i],
+                        &mut self.core_synced[i],
+                        now,
+                    );
                     port.source = c.source;
                     self.cores[i].on_mem_response(now, c.token, &mut port);
                 }
                 Source::Gpu => {
                     if let Some(gpu) = self.gpu.as_mut() {
-                        if ff {
-                            self.wakes.cancel(gpu_tok);
-                        }
                         gpu.on_mem_response(now / GPU_CLOCK_DIVIDER, c.token);
                     }
                 }
@@ -523,57 +447,32 @@ impl HeteroSystem {
         for b in &invals {
             let i = b.core as usize;
             if let Some(core) = self.cores.get_mut(i) {
-                if ff {
-                    self.wakes.cancel(i as u32);
-                    let s = self.core_synced[i];
-                    if s < now {
-                        core.fast_forward(s, now);
-                        self.core_synced[i] = now;
-                    }
-                }
+                wake_core(core, &mut self.core_wake[i], &mut self.core_synced[i], now);
                 core.back_invalidate(b.addr);
             }
         }
         invals.clear();
         self.inval_buf = invals;
 
-        // 3. CPU cores. A core whose armed wake is still in the future is
-        // certified inert this cycle: skip its tick entirely (the lazy
-        // catch-up above replays the gap when something finally reaches
-        // it). Ticked cores *push* their certification: an inert tick arms
-        // the core's wake right here, so nothing ever polls an active
-        // core. This is what makes the engine pay off on busy drivers —
-        // stalled cores stop costing per-cycle work even while the uncore
-        // and GPU stay hot, and busy cores cost nothing beyond their tick.
-        let mut cores_active = 0;
+        // 3. CPU cores. A core whose wake is still in the future is inert
+        // this cycle and skips its tick; the skipped gap is replayed
+        // before it next ticks, receives input, or is measured. An inert
+        // tick re-arms the wake from `Core::next_wake`; a working tick
+        // leaves it due.
         for (i, core) in self.cores.iter_mut().enumerate() {
-            if ff {
-                if self.wakes.armed(i as u32).is_some_and(|w| w > now) {
-                    continue;
-                }
-                self.wakes.cancel(i as u32);
-                let s = self.core_synced[i];
-                if s < now {
-                    core.fast_forward(s, now);
-                }
-                self.core_synced[i] = now + 1;
+            if self.core_wake[i] > now {
+                continue;
             }
+            let s = self.core_synced[i];
+            if s < now {
+                core.fast_forward(s, now);
+            }
+            self.core_synced[i] = now + 1;
             port.source = Source::Cpu(core.core_id());
-            let worked = core.tick(now, &mut port);
-            if ff {
-                // An inert tick is the cue to compute the real wake once;
-                // a working core stays uncertified at zero probe cost.
-                if worked {
-                    cores_active += 1;
-                } else {
-                    match core.next_wake(now + 1) {
-                        Some(w) => self.wakes.schedule(i as u32, w),
-                        None => cores_active += 1,
-                    }
-                }
+            if !core.tick(now, &mut port) {
+                self.core_wake[i] = core.next_wake(now + 1).unwrap_or(0);
             }
         }
-        self.cores_active = cores_active;
 
         // 4. GPU on its clock divider.
         let mut gpu_now = 0;
@@ -603,7 +502,7 @@ impl HeteroSystem {
                             // jittered copies; frame-boundary run events
                             // and collected stats keep the true values.
                             // Draws happen only on event-bearing GPU
-                            // ticks, which are never fast-forwarded.
+                            // ticks.
                             let mut jbuf = std::mem::take(&mut self.jitter_buf);
                             for e in &self.event_buf {
                                 jbuf.push(jitter_gpu_event(e, self.frpu_jitter, rng));
@@ -692,276 +591,9 @@ impl HeteroSystem {
         self.now += 1;
     }
 
-    /// GPU-complex probe: earliest cycle at or after `self.now` at which
-    /// the GPU pipeline, the ATU gate, an injected stall boundary or a
-    /// QoS evaluation could do observable work (`None` = active now).
-    fn probe_gpu(&self) -> Option<Cycle> {
-        let now = self.now;
-        let Some(gpu) = self.gpu.as_ref() else {
-            return Some(Cycle::MAX);
-        };
-        let mut wake = Cycle::MAX;
-        let next_gpu_tick = now.next_multiple_of(GPU_CLOCK_DIVIDER);
-        let g_now = next_gpu_tick / GPU_CLOCK_DIVIDER;
-        let gate_reopen = self.qos.as_ref().and_then(|q| q.atu.gate_reopens_at(g_now));
-        // An injected stall burst closes the port like the ATU gate;
-        // the earlier of the two reopen cycles is a conservative wake
-        // (the probe simply re-runs there if the port is still shut).
-        let stall_reopen = self
-            .stall
-            .filter(|s| s.stalled(g_now))
-            .map(|s| s.next_boundary(g_now));
-        let gate_reopen = match (gate_reopen, stall_reopen) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        if let Some(s) = self.stall {
-            // Never skip across a stall boundary: the per-cycle gating
-            // stats differ on the two sides.
-            wake = wake.min(s.next_boundary(g_now).saturating_mul(GPU_CLOCK_DIVIDER));
-        }
-        match gpu.next_wake(g_now, gate_reopen) {
-            None => {
-                // Active at its next tick; only skippable if that tick
-                // is still in the future.
-                if next_gpu_tick == now {
-                    return None;
-                }
-                wake = wake.min(next_gpu_tick);
-            }
-            Some(w) => {
-                if w != Cycle::MAX {
-                    wake = wake.min(w.saturating_mul(GPU_CLOCK_DIVIDER));
-                }
-            }
-        }
-        if let Some(q) = self.qos.as_ref() {
-            // The periodic policy evaluation fires from `note_sends`
-            // on the first GPU tick at/after its deadline.
-            let eval_cpu = q
-                .next_eval_at()
-                .saturating_mul(GPU_CLOCK_DIVIDER)
-                .max(next_gpu_tick);
-            if eval_cpu <= now {
-                return None;
-            }
-            wake = wake.min(eval_cpu);
-        }
-        Some(wake)
-    }
-
-    /// Epoch-sampler probe (`None` = a snapshot fires on the next tick).
-    fn probe_epoch(&self) -> Option<Cycle> {
-        match self.epoch_interval {
-            None => Some(Cycle::MAX),
-            Some(_) if self.next_epoch <= self.now => None,
-            Some(_) => Some(self.next_epoch),
-        }
-    }
-
-    /// Earliest cycle at or after `self.now` at which any component could
-    /// do observable work, or `None` if some component is active at
-    /// `self.now`. This is the pure-path aggregate (every layer probed
-    /// fresh — sound only while no core tick has been skipped); the
-    /// event-driven path uses [`Self::refresh_wakes`] instead.
-    fn next_wake(&self) -> Option<Cycle> {
-        let now = self.now;
-        // A wedged machine claims to be active forever: the watchdog, not
-        // the fast-forward engine, must be what ends the run.
-        if self.wedge.is_some_and(|w| now >= w) {
-            return None;
-        }
-        let mut wake = Cycle::MAX;
-        // Never skip past the wedge onset (it changes GPU gating).
-        if let Some(w) = self.wedge {
-            wake = wake.min(w);
-        }
-        for core in &self.cores {
-            match core.next_wake(now) {
-                None => return None,
-                Some(w) => wake = wake.min(w),
-            }
-        }
-        match self.uncore.next_wake(now) {
-            None => return None,
-            Some(w) => wake = wake.min(w),
-        }
-        match self.probe_gpu() {
-            None => return None,
-            Some(w) => wake = wake.min(w),
-        }
-        match self.probe_epoch() {
-            None => return None,
-            Some(w) => wake = wake.min(w),
-        }
-        Some(wake)
-    }
-
-    /// Re-certify `token` on the calendar if its cached wake has expired
-    /// (or was cancelled). Returns whether the source is quiescent.
-    fn refresh_token(&mut self, token: u32, probe: impl Fn(&Self) -> Option<Cycle>) -> bool {
-        if self.wakes.armed(token).is_some_and(|w| w > self.now) {
-            return true;
-        }
-        match probe(self) {
-            Some(w) => {
-                self.wakes.schedule(token, w);
-                true
-            }
-            None => {
-                self.wakes.cancel(token);
-                false
-            }
-        }
-    }
-
-    /// Refresh the wake calendar at `self.now`: armed future wakes are
-    /// trusted (external input cancels them at delivery), due or cancelled
-    /// sources are re-probed. Returns the machine-wide wake — the earliest
-    /// armed wake, `Cycle::MAX` when every source is blocked on external
-    /// input — or `None` if any source is active at `self.now`.
-    fn refresh_wakes(&mut self) -> Option<Cycle> {
-        let now = self.now;
-        // A core that did observable work last tick is uncertified by
-        // construction — the machine cannot jump, so don't touch the
-        // calendar at all. This is the per-cycle cost of fast-forward on
-        // a busy driver: one integer test.
-        if self.cores_active > 0 {
-            return None;
-        }
-        // A wedged machine claims to be active forever: the watchdog, not
-        // the fast-forward engine, must be what ends the run.
-        if self.wedge.is_some_and(|w| now >= w) {
-            return None;
-        }
-        let uncore_token = self.uncore_token();
-        // Requests accepted since the last refresh invalidate the uncore's
-        // cached certification (the only external path into it).
-        if self.uncore.ingress != self.last_ingress {
-            self.last_ingress = self.uncore.ingress;
-            self.wakes.cancel(uncore_token);
-        }
-        // Cores push their certifications from their own ticks, so the
-        // calendar is already current everywhere except a wake that just
-        // came due: catch the core up and re-probe it once (the due wake
-        // is often conservative — e.g. a dispatch-credit crossing into a
-        // still-full ROB — and re-certifies further out).
-        let mut quiet = true;
-        for i in 0..self.cores.len() {
-            match self.wakes.armed(i as u32) {
-                Some(w) if w > now => continue,
-                _ => {}
-            }
-            let s = self.core_synced[i];
-            if s < now {
-                self.cores[i].fast_forward(s, now);
-                self.core_synced[i] = now;
-            }
-            match self.cores[i].next_wake(now) {
-                Some(w) => self.wakes.schedule(i as u32, w),
-                None => {
-                    self.wakes.cancel(i as u32);
-                    quiet = false;
-                }
-            }
-        }
-        // The remaining sources only gate machine-wide jumps: stop probing
-        // as soon as one source is known active this cycle.
-        let quiet = quiet
-            && self.refresh_token(uncore_token, |s| s.uncore.next_wake(s.now))
-            && self.refresh_token(uncore_token + 1, Self::probe_gpu)
-            && self.refresh_token(uncore_token + 2, Self::probe_epoch);
-        if !quiet {
-            return None;
-        }
-        Some(self.wakes.next_at().unwrap_or(Cycle::MAX))
-    }
-
-    /// Jump `now` to `target`, batch-advancing every per-cycle counter
-    /// exactly as the skipped inert ticks would have.
-    fn fast_forward_to(&mut self, target: Cycle) {
-        let from = self.now;
-        debug_assert!(target > from);
-        for (i, core) in self.cores.iter_mut().enumerate() {
-            // Cores catch up lazily, so each replays from wherever its
-            // last executed tick left it.
-            let s = self.core_synced[i];
-            if s < target {
-                core.fast_forward(s, target);
-                self.core_synced[i] = target;
-            }
-        }
-        if let Some(gpu) = self.gpu.as_mut() {
-            // GPU ticks skipped in `[from, target)` are the GPU cycles in
-            // `[ceil(from/4), ceil(target/4))`.
-            let g_from = from.div_ceil(GPU_CLOCK_DIVIDER);
-            let g = target.div_ceil(GPU_CLOCK_DIVIDER) - g_from;
-            if g > 0 {
-                // Gated for the whole span: the span never extends past the
-                // gate-reopen wake (or a stall-burst boundary), so
-                // closed-at-start means closed throughout.
-                let gated = gpu.iface_occupancy() > 0
-                    && (self.stall.is_some_and(|s| s.stalled(g_from))
-                        || self
-                            .qos
-                            .as_ref()
-                            .is_some_and(|q| q.atu.gate_reopens_at(g_from).is_some()));
-                gpu.fast_forward(g, gated);
-            }
-        }
-        // The boost line is state-derived (not time-derived) and only
-        // changes at QoS evaluations, which are hard wake-ups — constant
-        // over the span.
-        let boost = match self.qos.as_ref() {
-            Some(q) => q.signals(from / GPU_CLOCK_DIVIDER).cpu_prio_boost,
-            None => false,
-        };
-        self.uncore.fast_forward(from, target, boost);
-        self.ff_skipped += target - from;
-        self.ff_spans += 1;
-        self.now = target;
-        // A certified-quiescent jump is legitimate waiting, not a wedge:
-        // give the watchdog a fresh window from the wake cycle.
-        if self.wd_window > 0 {
-            self.wd_next = target.saturating_add(self.wd_window);
-        }
-    }
-
-    /// If every source certifies quiescence, advance to the machine-wide
-    /// wake (bounded by `cap`, exclusive of the jump target's tick): long
-    /// spans jump in one batch replay, short ones open a probe-free quiet
-    /// window and tick through.
-    fn try_fast_forward(&mut self, cap: Cycle) {
-        if !self.fast_forward || self.now >= cap {
-            return;
-        }
-        if self.now < self.quiet_until {
-            // Inside a certified-quiet window: nothing can become active
-            // before it ends, so there is nothing to probe.
-            return;
-        }
-        let Some(wake) = self.refresh_wakes() else {
-            return;
-        };
-        let mut target = wake.min(cap);
-        if let Some(w) = self.wedge {
-            // Never skip past the wedge onset (it changes GPU gating).
-            target = target.min(w);
-        }
-        debug_assert!(target > self.now);
-        if target - self.now < MIN_JUMP_SPAN {
-            self.quiet_until = target;
-        } else {
-            self.fast_forward_to(target);
-        }
-    }
-
-    /// Replay every lazily-skipped core tick up to `self.now` (before
-    /// measurement marks and result collection, which read cycle counts).
+    /// Replay every skipped core tick up to `self.now` (before the
+    /// measurement mark and result collection, which read cycle counts).
     fn sync_cores(&mut self) {
-        if !self.fast_forward {
-            return;
-        }
         let now = self.now;
         for (i, core) in self.cores.iter_mut().enumerate() {
             let s = self.core_synced[i];
@@ -973,15 +605,20 @@ impl HeteroSystem {
     }
 
     /// Liveness vouch for the watchdog: is the silent window explained by
-    /// certified quiescent waiting on a known future event? On the
-    /// event-driven path the wake calendar answers; on the pure path
-    /// (`GAT_NO_FASTFORWARD`) every layer is probed fresh.
-    fn quiescent_vouch(&mut self) -> bool {
-        if self.fast_forward {
-            self.now < self.quiet_until || self.refresh_wakes().is_some()
-        } else {
-            self.next_wake().is_some()
+    /// a timed gate holding the GPU's LLC port shut at its last tick — an
+    /// injected stall burst or a closed ATU window? Both reopen on their
+    /// own; any other silent window (the wedge fixture included) is a
+    /// wedge.
+    fn gpu_port_timed_shut(&self) -> bool {
+        if self.gpu.is_none() || self.wedge.is_some_and(|w| self.now >= w) {
+            return false;
         }
+        let g = self.now.saturating_sub(1) / GPU_CLOCK_DIVIDER;
+        self.stall.is_some_and(|s| s.stalled(g))
+            || self
+                .qos
+                .as_ref()
+                .is_some_and(|q| q.atu.gate_reopens_at(g).is_some())
     }
 
     /// Warm up, reset statistics, and mark the measurement start.
@@ -989,7 +626,6 @@ impl HeteroSystem {
         let end = self.now + self.cfg.limits.warmup_cycles;
         while self.now < end {
             self.tick();
-            self.try_fast_forward(end);
         }
         self.sync_cores();
         for core in &mut self.cores {
@@ -1104,7 +740,7 @@ impl HeteroSystem {
             .map_err(|d| err("uncore", d))?;
         if let Some(i) = self.epoch_interval {
             // Epoch monotonicity: the next sample is never scheduled more
-            // than one interval out (fast-forward wakes at `next_epoch`).
+            // than one interval out.
             if self.next_epoch > self.now.saturating_add(i) {
                 return Err(err(
                     "epoch",
@@ -1131,9 +767,8 @@ impl HeteroSystem {
         self.warm_up();
         self.wd_next = self.now.saturating_add(self.wd_window.max(1));
         let mut wd_print = self.progress_fingerprint();
-        // One goal check per tick: the check after `tick` both ends the
-        // loop and gates the skip, so a finished machine never ticks or
-        // fast-forwards again (same exit cycle as checking up front).
+        // One goal check per tick, after `tick`: a finished machine never
+        // ticks again (same exit cycle as checking up front).
         if !self.goals_met() {
             loop {
                 self.tick();
@@ -1150,28 +785,18 @@ impl HeteroSystem {
                     break;
                 }
                 if self.wd_window > 0 && self.now >= self.wd_next {
+                    // Progress, or a wait on a timed gate, earns a fresh
+                    // window; a silent window without either is a wedge.
                     let fp = self.progress_fingerprint();
-                    if fp != wd_print {
-                        wd_print = fp;
-                        self.wd_next = self.now.saturating_add(self.wd_window);
-                    } else if self.quiescent_vouch() {
-                        // Quiescent wait on a known future event — the
-                        // wake calendar vouches for it; not a wedge.
-                        self.wd_next = self.now.saturating_add(self.wd_window);
-                    } else {
+                    if fp == wd_print && !self.gpu_port_timed_shut() {
                         return Err(self.wedged_error());
                     }
+                    wd_print = fp;
+                    self.wd_next = self.now.saturating_add(self.wd_window);
                 }
-                // Only skip ahead while the goals are still unmet:
-                // quiescent spans retire nothing and render nothing, so
-                // goal state is constant across them and the final `now`
-                // (hence `RunResult::cycles`) matches the cycle-by-cycle
-                // run.
-                self.try_fast_forward(self.cfg.limits.max_cycles);
             }
         }
         self.sync_cores();
-        crate::ffstats::record(self.now, self.ff_skipped, self.ff_spans);
         Ok(self.collect())
     }
 
@@ -1375,8 +1000,8 @@ mod tests {
     fn watchdog_catches_a_wedged_scheduler() {
         use gat_sim::faults::FaultPlan;
         let mut cfg = smoke_cfg(4);
-        // Wedge the GPU scheduler from cycle 0: quota stays 0 and the
-        // machine reports non-quiescent forever.
+        // Wedge the GPU scheduler from cycle 0: quota stays 0 and no
+        // timed gate explains the silence.
         cfg.faults = FaultPlan::parse("wedge=0").unwrap();
         cfg.limits.watchdog = 50_000;
         let mut sys = HeteroSystem::new(cfg, &[], Some(game("NFS")));
@@ -1388,12 +1013,9 @@ mod tests {
                 diagnostic,
             } => {
                 assert_eq!(window, 50_000);
-                // Warm-up ends at 60_000; the first deadline after it must
-                // fire, so the trip lands within two windows of the mark.
-                assert!(
-                    (60_000..=60_000 + 2 * 50_000).contains(&cycle),
-                    "tripped at {cycle}"
-                );
+                // Warm-up ends at 60_000; the first deadline after it
+                // finds no progress and trips.
+                assert_eq!(cycle, 110_000, "tripped at {cycle}");
                 assert!(diagnostic.contains("watchdog_dump"), "{diagnostic}");
                 for line in diagnostic.lines() {
                     gat_sim::json::validate_json_line(line).unwrap();

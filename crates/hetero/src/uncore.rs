@@ -166,8 +166,8 @@ pub struct Uncore {
     /// (due cycle, txn id) — DRAM data arriving back at the LLC stop.
     fill_due: Vec<(Cycle, u64)>,
     /// Exact earliest due cycle per list (`Cycle::MAX` when empty): the
-    /// per-cycle sweep and the quiescence probe consult these instead of
-    /// scanning the lists on cycles where nothing can be due.
+    /// per-cycle sweep consults these instead of scanning the lists on
+    /// cycles where nothing can be due.
     resp_min: Cycle,
     miss_min: Cycle,
     fill_min: Cycle,
@@ -180,11 +180,6 @@ pub struct Uncore {
     policy: Box<dyn LlcFillPolicy>,
     /// GPU latency tolerance sampled by the system each cycle (HeLM).
     pub gpu_tolerance: f64,
-    /// Monotonic count of accepted requests. The system's wake calendar
-    /// compares it across refreshes: new ingress invalidates a cached
-    /// uncore quiescence certification (the only external path that can
-    /// create uncore work).
-    pub ingress: u64,
     completions: Vec<UncoreCompletion>,
     back_invals: Vec<BackInval>,
     drain_buf: Vec<u64>,
@@ -273,7 +268,6 @@ impl Uncore {
             txns: TxnSlab::default(),
             policy,
             gpu_tolerance: 0.0,
-            ingress: 0,
             completions: Vec::new(),
             back_invals: Vec::new(),
             drain_buf: Vec::new(),
@@ -299,7 +293,6 @@ impl Uncore {
             return false;
         }
         self.to_llc_count += 1;
-        self.ingress += 1;
         let id = self.txns.insert(Txn {
             requester: source,
             token: req.token,
@@ -662,77 +655,6 @@ impl Uncore {
     /// Deliver pending back-invalidations.
     pub fn drain_back_invals(&mut self, out: &mut Vec<BackInval>) {
         out.append(&mut self.back_invals);
-    }
-
-    /// Earliest cycle at or after `now` at which ticking the uncore could
-    /// do observable work. `None` means active at `now`; `Some(w)` means
-    /// every tick in `[now, w)` only advances the DRAM channels' per-cycle
-    /// accumulators (replayed exactly by [`Uncore::fast_forward`]): the
-    /// ring drains nothing, no LLC lookup or due-list entry fires, and no
-    /// DRAM channel has queued work or a due completion/refresh.
-    pub fn next_wake(&self, now: Cycle) -> Option<Cycle> {
-        // Undelivered completions/back-invals are consumed by the system
-        // at the top of its tick.
-        if !self.completions.is_empty() || !self.back_invals.is_empty() {
-            return None;
-        }
-        // Pending LLC lookups are served every cycle.
-        if !self.llc_queue.is_empty() || !self.llc_retry.is_empty() {
-            return None;
-        }
-        // A retryable MC request re-enqueues as soon as its channel has
-        // room. (A blocked retry is side-effect-free, and its channel is
-        // necessarily non-empty, so the DRAM-tick wake below covers it.)
-        for (ch, retry) in self.channels.iter().zip(&self.mc_retry) {
-            if !retry.is_empty() && ch.can_accept() {
-                return None;
-            }
-        }
-        let mut wake = Cycle::MAX;
-        if let Some(d) = self.ring.next_delivery() {
-            if d <= now {
-                return None;
-            }
-            wake = wake.min(d);
-        }
-        let due_min = self.resp_min.min(self.miss_min).min(self.fill_min);
-        if due_min <= now {
-            return None;
-        }
-        wake = wake.min(due_min);
-        // DRAM channels tick on the divider. A channel with queued work
-        // must see every DRAM cycle (its scheduler may issue and may
-        // consult an RNG); an idle channel next acts when a completion
-        // comes due or its periodic refresh fires.
-        let dram_tick_cycle = now.next_multiple_of(DRAM_CLOCK_DIVIDER);
-        for ch in &self.channels {
-            let w = if ch.has_queued_requests() {
-                dram_tick_cycle
-            } else {
-                ch.next_event()
-                    .saturating_mul(DRAM_CLOCK_DIVIDER)
-                    .max(dram_tick_cycle)
-            };
-            if w <= now {
-                return None;
-            }
-            wake = wake.min(w);
-        }
-        Some(wake)
-    }
-
-    /// Batch-advance the inert span `[from, to)` (certified by
-    /// [`Uncore::next_wake`]): replay the skipped DRAM ticks' per-cycle
-    /// accounting on every channel. A span containing a DRAM tick implies
-    /// all channels were idle for it.
-    pub fn fast_forward(&mut self, from: Cycle, to: Cycle, cpu_prio_boost: bool) {
-        let d = to.div_ceil(DRAM_CLOCK_DIVIDER) - from.div_ceil(DRAM_CLOCK_DIVIDER);
-        if d == 0 {
-            return;
-        }
-        for ch in &mut self.channels {
-            ch.fast_forward_idle(d, cpu_prio_boost);
-        }
     }
 
     /// Anything still in flight?

@@ -74,18 +74,12 @@ pub struct Pragma {
     pub used: bool,
 }
 
-/// Lexer output: the token stream, well-formed pragmas, wake-state
-/// markers, and malformed pragma comments (reported as findings by the
-/// rule engine).
+/// Lexer output: the token stream, well-formed pragmas, and malformed
+/// pragma comments (reported as findings by the rule engine).
 #[derive(Debug, Default)]
 pub struct Lexed {
     pub tokens: Vec<Token>,
     pub pragmas: Vec<Pragma>,
-    /// Lines carrying a `// gat-lint: wake-state` marker. The structural
-    /// pass (rule R10) attaches each marker to the struct field declared
-    /// on the same or the directly following line; a marker that attaches
-    /// to no field is an error, like an unused pragma.
-    pub wake_markers: Vec<u32>,
     /// `(line, problem)` for comments that start with the pragma marker
     /// but do not parse.
     pub malformed: Vec<(u32, String)>,
@@ -339,16 +333,7 @@ fn scan_comment_for_pragma(text: &str, line: u32, out: &mut Lexed) {
     let Some(rest) = t.strip_prefix(PRAGMA_MARKER) else {
         return;
     };
-    let rest = rest.trim();
-    // The wake-state marker (rule R10): `// gat-lint: wake-state`,
-    // optionally followed by a free-text note. It declares the field on
-    // the next (or same) line wake-relevant; attachment happens in the
-    // parser, which knows where fields are.
-    if rest == "wake-state" || rest.starts_with("wake-state ") {
-        out.wake_markers.push(line);
-        return;
-    }
-    match parse_pragma_body(rest) {
+    match parse_pragma_body(rest.trim()) {
         Ok((rule, reason, file_level)) => out.pragmas.push(Pragma {
             line,
             rule,

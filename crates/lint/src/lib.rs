@@ -1,7 +1,7 @@
 //! `gat-lint` — the workspace determinism linter.
 //!
 //! The simulator's headline guarantee is byte-identical output across
-//! thread counts, fast-forward on/off, and fault replays. The golden
+//! thread counts, reruns, and fault replays. The golden
 //! snapshots catch a nondeterminism bug *after* it ships; this linter
 //! rejects the usual sources at review time, where they are introduced:
 //!
@@ -13,30 +13,23 @@
 //! | R4   | `println!`-family output from library code                  |
 //! | R5   | NaN-unsafe `partial_cmp().unwrap()` / float sorts           |
 //! | R6   | bench `--flag`s absent from README.md; `GAT_*` knobs absent from DESIGN.md |
-//! | R7   | `next_activity`-style per-cycle polling APIs (the WakeCalendar replaced them) |
 //! | R8   | per-tick heap allocation (`Vec::new`, `vec!`, `Box::new`, `.collect::<Vec<..>>()`) in tick-path modules |
 //! | R9   | `catch_unwind` / `panic::set_hook` / `panic::take_hook` outside the serve supervisor (all scanned crates) |
-//! | R10  | wake-relevant field writes that reach no `WakeCalendar` schedule/cancel in the call graph (wake-checked modules) |
 //! | R11  | `_` arms in `match`es over `SimError`/`JobOutcome`/`QosEvent` in library crates |
 //! | R12  | expressions mixing `Cycle`-domain values with wall-clock milliseconds |
 //!
-//! R1–R9, R11 and R12 are token rules; R10 is *structural* — it runs on
-//! the item trees from [`parser`], the workspace [`symbols`] table and
-//! the approximate [`callgraph`] (DESIGN.md §13).
+//! Every rule is a token rule over one file's comment-free token stream
+//! ([`lexer`]); R6 additionally cross-checks the docs.
 //!
 //! Findings are suppressible with a justified pragma —
 //! `// gat-lint: allow(R2, "why")` (line scope) or `allow-file` — and a
 //! pragma that suppresses nothing is itself an error, so stale
 //! exemptions cannot linger. See DESIGN.md §10 for the full contract.
 
-pub mod callgraph;
 pub mod lexer;
-pub mod parser;
 pub mod policy;
 pub mod report;
 pub mod rules;
-pub mod structural;
-pub mod symbols;
 
 pub use report::{summary_json, Finding, RuleId};
 
@@ -56,17 +49,11 @@ pub struct SourceFile {
 /// Lint a set of sources against the given documentation contents.
 /// Findings come back sorted by (file, line, rule).
 pub fn lint_sources(files: &[SourceFile], readme: &str, design: &str) -> Vec<Finding> {
-    // The structural pass (R10 + wake-marker attachment) sees every file
-    // at once — reachability crosses file boundaries — and hands back
-    // per-file finding lists so each file's pragmas can suppress them.
-    let mut structural_by_file = structural::analyze(files);
     let mut findings: Vec<Finding> = Vec::new();
-    for (fi, f) in files.iter().enumerate() {
+    for f in files {
         let mut fl = rules::lint_file(&f.path, &f.text);
         let r6 = check_docs(&f.path, &fl, readme, design);
         findings.extend(rules::suppress(r6, &mut fl.pragmas));
-        let r10 = std::mem::take(&mut structural_by_file[fi]);
-        findings.extend(rules::suppress(r10, &mut fl.pragmas));
         findings.append(&mut fl.findings);
         for p in &fl.pragmas {
             if !p.used {

@@ -1,16 +1,16 @@
 //! CLI for the workspace determinism linter.
 //!
 //! ```text
-//! cargo run -p gat-lint [-- --json] [--root PATH] [--rules R10,R11] [--list-rules]
+//! cargo run -p gat-lint [-- --json] [--root PATH] [--rules R11,R12] [--list-rules]
 //! ```
 //!
 //! Walks `crates/*/src` under the workspace root (default: the current
-//! directory), applies rules R1–R12 (see DESIGN.md §10 and §13), and
+//! directory), applies the rule catalog (see DESIGN.md §10), and
 //! prints one `file:line: rule: message` line per finding — or, with
 //! `--json`, the observability layer's JSONL grammar (`lint_finding`
 //! objects plus one `lint_summary` trailer).
 //!
-//! `--rules R10,R11` keeps only the named rules' findings (pragma
+//! `--rules R11,R12` keeps only the named rules' findings (pragma
 //! findings are always kept — a broken suppression comment is a problem
 //! regardless of which rules you asked about). `--list-rules` prints the
 //! catalog, one line per rule, and exits 0.

@@ -62,34 +62,6 @@ pub const TICK_PATH_MODULES: &[&str] = &[
     "crates/sim/src/slab.rs",
 ];
 
-/// Wake-model modules: files that participate in the push-model
-/// `WakeCalendar` discipline (DESIGN.md §8) but are not on the per-cycle
-/// tick path. Rule R10 (wake-soundness) applies to the union of this
-/// list and [`TICK_PATH_MODULES`]: any fn in these files that writes a
-/// wake-relevant field must reach a `WakeCalendar` schedule/cancel call
-/// in its forward call graph, or carry a reasoned pragma.
-pub const WAKE_MODEL_MODULES: &[&str] = &[
-    "crates/sim/src/calendar.rs",
-    "crates/cpu/src/core.rs",
-    "crates/gpu/src/pipeline.rs",
-    "crates/hetero/src/system.rs",
-];
-
-/// Fields declared wake-relevant centrally, in addition to in-source
-/// `// gat-lint: wake-state` markers. Names are matched globally (the
-/// writer side `self.field = …` carries no type), so keep these specific
-/// enough not to collide with unrelated state.
-pub const WAKE_STATE_FIELDS: &[&str] = &[];
-
-/// The type(s) whose schedule/cancel methods are the R10 primitives.
-pub const WAKE_CALENDAR_TYPES: &[&str] = &["WakeCalendar"];
-
-/// The methods on [`WAKE_CALENDAR_TYPES`] that count as notifying the
-/// wake model. `pop_due` is included because draining due wakes also
-/// rearms generation state — a body that pops is by construction talking
-/// to the calendar.
-pub const WAKE_SCHEDULE_FNS: &[&str] = &["schedule", "cancel", "pop_due"];
-
 /// Enums whose `match`es may not use `_` arms in library crates (rule
 /// R11): new variants added by later PRs must fail to compile at every
 /// consumer, not be silently swallowed by a wildcard.
@@ -164,11 +136,6 @@ pub fn is_tick_path_module(rel_path: &str) -> bool {
     TICK_PATH_MODULES.contains(&rel_path)
 }
 
-/// Does rule R10 (wake-soundness) apply to this file?
-pub fn is_wake_checked_module(rel_path: &str) -> bool {
-    TICK_PATH_MODULES.contains(&rel_path) || WAKE_MODEL_MODULES.contains(&rel_path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,13 +166,8 @@ mod tests {
             .iter()
             .chain(RNG_MODULES)
             .chain(TICK_PATH_MODULES)
-            .chain(WAKE_MODEL_MODULES)
         {
             assert_eq!(classify(m), FileClass::SimLib, "{m} must be SimLib");
-        }
-        // R10's scope is the union of the tick path and the wake model.
-        for m in TICK_PATH_MODULES.iter().chain(WAKE_MODEL_MODULES) {
-            assert!(is_wake_checked_module(m), "{m} must be wake-checked");
         }
         // The panic-isolation exemption only means something if the
         // module is actually scanned.

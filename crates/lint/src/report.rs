@@ -19,11 +19,6 @@ pub enum RuleId {
     R5,
     /// CLI flags / `GAT_*` knobs missing from the documentation.
     R6,
-    /// Quiescence-probe style polling APIs (`next_activity` and kin) in
-    /// sim-state crates. The event calendar replaced the probe loop; new
-    /// polling entry points would quietly reintroduce the O(layers)
-    /// fast-forward scan the calendar was built to delete.
-    R7,
     /// Per-tick heap allocation (`Vec::new`, `vec![..]`, `Box::new`,
     /// `.collect::<Vec<..>>()`) in a tick-path module. PR 8 moved the
     /// busy-path request state onto slabs, intrusive lists and reused
@@ -37,14 +32,6 @@ pub enum RuleId {
     /// swallow a panic; anywhere else it converts an invariant violation
     /// into silently-wrong simulator state.
     R9,
-    /// Wake-soundness (lost wakeups): in tick-path/wake-model modules, a
-    /// fn that writes a wake-relevant field (declared by a
-    /// `// gat-lint: wake-state` marker or `policy::WAKE_STATE_FIELDS`)
-    /// must reach a `WakeCalendar` schedule/cancel call in its forward
-    /// call graph. Mutating when-am-I-next-active state without arming a
-    /// wake is the canonical push-model DES bug: the component freezes
-    /// until the watchdog fires.
-    R10,
     /// Match-exhaustiveness drift: a `_` arm in a `match` over a guarded
     /// enum (`SimError`, `JobOutcome`, `QosEvent`) inside library
     /// crates. Wildcards silently swallow variants added by later PRs;
@@ -69,10 +56,8 @@ pub const ALL_RULES: &[RuleId] = &[
     RuleId::R4,
     RuleId::R5,
     RuleId::R6,
-    RuleId::R7,
     RuleId::R8,
     RuleId::R9,
-    RuleId::R10,
     RuleId::R11,
     RuleId::R12,
     RuleId::Pragma,
@@ -87,10 +72,8 @@ impl RuleId {
             RuleId::R4 => "R4",
             RuleId::R5 => "R5",
             RuleId::R6 => "R6",
-            RuleId::R7 => "R7",
             RuleId::R8 => "R8",
             RuleId::R9 => "R9",
-            RuleId::R10 => "R10",
             RuleId::R11 => "R11",
             RuleId::R12 => "R12",
             RuleId::Pragma => "pragma",
@@ -106,10 +89,8 @@ impl RuleId {
             RuleId::R4 => "no direct stdout/stderr printing from library crates",
             RuleId::R5 => "no NaN-unsafe float comparisons",
             RuleId::R6 => "CLI flags and GAT_* knobs must be documented",
-            RuleId::R7 => "no polling activity probes; use the WakeCalendar",
             RuleId::R8 => "no per-tick heap allocation in tick-path modules",
             RuleId::R9 => "no panic capture outside the serve supervisor",
-            RuleId::R10 => "wake-relevant writes must reach a WakeCalendar schedule/cancel",
             RuleId::R11 => "no `_` arms in matches over SimError/JobOutcome/QosEvent",
             RuleId::R12 => "no arithmetic mixing Cycle values with wall-clock milliseconds",
             RuleId::Pragma => "pragmas must be well-formed, known, and in active use",
@@ -127,10 +108,8 @@ impl RuleId {
             "R4" => Some(RuleId::R4),
             "R5" => Some(RuleId::R5),
             "R6" => Some(RuleId::R6),
-            "R7" => Some(RuleId::R7),
             "R8" => Some(RuleId::R8),
             "R9" => Some(RuleId::R9),
-            "R10" => Some(RuleId::R10),
             "R11" => Some(RuleId::R11),
             "R12" => Some(RuleId::R12),
             _ => None,
@@ -152,17 +131,11 @@ impl RuleId {
             RuleId::R4 => "emit through the events/metrics layer (gat_sim::events, gat_sim::metrics)",
             RuleId::R5 => "use f64::total_cmp for ordering, or guard the comparison against NaN explicitly",
             RuleId::R6 => "document the name, or remove the dead flag/knob",
-            RuleId::R7 => {
-                "register a wake on the WakeCalendar (schedule/cancel) instead of exposing a per-cycle activity probe"
-            }
             RuleId::R8 => {
                 "reuse a struct-owned scratch buffer or slab handle; allocation belongs in the constructor, not the tick"
             }
             RuleId::R9 => {
                 "let the panic propagate (or return a typed error); per-job isolation lives in gat-serve's supervisor"
-            }
-            RuleId::R10 => {
-                "call wakes.schedule(source, at) (or cancel) after mutating wake-relevant state, or route the write through a fn that does"
             }
             RuleId::R11 => {
                 "list every variant explicitly so new variants are compile errors at each consumer, not silently swallowed"
@@ -171,7 +144,7 @@ impl RuleId {
                 "convert at the boundary (cycles_per_ms) and keep each expression in one unit; rename the variable if it is not milliseconds"
             }
             RuleId::Pragma => {
-                "fix the pragma: gat-lint: allow(R1..R12, \"reason\"); delete it if the violation is gone"
+                "fix the pragma: gat-lint: allow(RULE, \"reason\") with a rule from --list-rules; delete it if the violation is gone"
             }
         }
     }
@@ -276,20 +249,22 @@ mod tests {
             assert!(!r.summary().is_empty());
             assert!(!r.hint().is_empty());
         }
-        assert_eq!(RuleId::from_pragma_name("R13"), None);
+        for retired in ["R7", "R10", "R13"] {
+            assert_eq!(RuleId::from_pragma_name(retired), None);
+        }
     }
 
     #[test]
     fn summary_reports_per_rule_counts() {
         let f = Finding {
-            rule: RuleId::R10,
+            rule: RuleId::R12,
             file: "crates/hetero/src/system.rs".into(),
             line: 9,
-            message: "write without wake".into(),
+            message: "cycles mixed with milliseconds".into(),
         };
         let s = summary_json(5, &[f.clone(), f]);
         validate_json_line(&s).unwrap();
-        assert!(s.contains("\"R10\":2"), "{s}");
+        assert!(s.contains("\"R12\":2"), "{s}");
         assert!(s.contains("\"R11\":0"), "{s}");
     }
 }

@@ -1,7 +1,7 @@
-//! The determinism rules (R1–R5), the event-scheduling rule (R7), the
-//! tick-path allocation rule (R8) and the panic-isolation rule (R9) over
-//! one file's token stream, plus the raw material (flag and knob
-//! literals) for the cross-file rule R6.
+//! The determinism rules (R1–R5), the tick-path allocation rule (R8),
+//! the panic-isolation rule (R9), the match-wildcard rule (R11) and the
+//! unit-mixing rule (R12) over one file's token stream, plus the raw
+//! material (flag and knob literals) for the cross-file rule R6.
 //!
 //! Every matcher works on the comment-free token stream from
 //! [`crate::lexer`]; spans are line-granular, which is enough for a
@@ -72,7 +72,7 @@ pub fn lint_file(rel_path: &str, source: &str) -> FileLint {
                 rule: RuleId::Pragma,
                 file: rel_path.into(),
                 line: p.line,
-                message: format!("pragma names unknown rule {:?} (known: R1..R12)", p.rule),
+                message: format!("pragma names unknown rule {:?} (see --list-rules)", p.rule),
             }),
         }
     }
@@ -87,7 +87,6 @@ pub fn lint_file(rel_path: &str, source: &str) -> FileLint {
         check_r3_rng(rel_path, toks, &in_test, &mut raw);
         check_r4_printing(rel_path, toks, &in_test, &mut raw);
         check_r5_nan(rel_path, toks, &in_test, &mut raw);
-        check_r7_activity_polling(rel_path, toks, &in_test, &mut raw);
         check_r8_tick_alloc(rel_path, toks, &in_test, &mut raw);
         check_r12_unit_mix(rel_path, toks, &in_test, &mut raw);
     }
@@ -427,33 +426,6 @@ fn check_r5_nan(file: &str, toks: &[Token], in_test: &[bool], raw: &mut Vec<Find
                     }
                 }
             }
-        }
-    }
-}
-
-/// R7: quiescence-probe polling APIs in sim-state code. PR 7 replaced the
-/// fast-forward probe loop ("ask every layer for its next activity each
-/// cycle") with push-model wake registration on the `WakeCalendar`; a new
-/// `next_activity`-style entry point would reintroduce the O(layers) scan
-/// and silently bypass the calendar's certification invariants. The name
-/// list is exact idents, not substrings — `activity` alone (stats fields,
-/// doc examples) stays legal.
-fn check_r7_activity_polling(file: &str, toks: &[Token], in_test: &[bool], raw: &mut Vec<Finding>) {
-    for (i, t) in toks.iter().enumerate() {
-        if in_test[i] {
-            continue;
-        }
-        if let Some(
-            name @ ("next_activity" | "poll_activity" | "has_activity" | "activity_probe"),
-        ) = ident_at(toks, i)
-        {
-            push(
-                raw,
-                RuleId::R7,
-                file,
-                t.line,
-                format!("{name}: per-cycle activity polling was retired in favour of WakeCalendar scheduling"),
-            );
         }
     }
 }
@@ -869,7 +841,7 @@ mod tests {
     #[test]
     fn gat_knob_names_are_exact_literals_only() {
         assert!(is_gat_knob_name("GAT_FAULTS"));
-        assert!(is_gat_knob_name("GAT_NO_FASTFORWARD"));
+        assert!(is_gat_knob_name("GAT_PARANOIA"));
         assert!(!is_gat_knob_name("GAT_"));
         assert!(!is_gat_knob_name("GAT_lowercase"));
         assert!(!is_gat_knob_name("PREFIX_GAT_X"));

@@ -12,8 +12,6 @@
 //! (so heavy GPU fill traffic does add cycles), but not flit-level
 //! wormhole detail.
 
-// gat-lint: allow-file(R10, "certified externally: wheel_min/wheel_dirty cache the horizon that Uncore::next_wake re-probes via next_delivery after every executed uncore tick; the calendar slot is owned by hetero::system")
-
 use gat_sim::{faults::DelayInjector, stats::Counter, Cycle};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -123,15 +121,6 @@ pub struct Ring {
     /// All cycles `< base` have been drained; wheel buckets only hold
     /// deliveries in `[base, base + WHEEL_SLOTS)`.
     base: Cycle,
-    /// Earliest wheel delivery (`Cycle::MAX` when the wheel is empty),
-    /// valid while `wheel_dirty` is false. [`Ring::next_delivery`] is on
-    /// the fast-forward engine's quiescence-probe path, so it must stay
-    /// O(1); the probe rescans the wheel only after a drain actually
-    /// removed wheel entries (`Cell`s because the probe takes `&self`).
-    // gat-lint: wake-state (cached horizon read by the uncore's probe)
-    wheel_min: std::cell::Cell<Cycle>,
-    // gat-lint: wake-state
-    wheel_dirty: std::cell::Cell<bool>,
     /// Deliveries beyond the wheel horizon, ordered `(deliver_at, seq)`.
     overflow: BinaryHeap<Flight>,
     seq: u64,
@@ -153,8 +142,6 @@ impl Ring {
             wheel: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
             wheel_live: 0,
             base: 0,
-            wheel_min: std::cell::Cell::new(Cycle::MAX),
-            wheel_dirty: std::cell::Cell::new(false),
             overflow: BinaryHeap::new(),
             seq: 0,
             fault: None,
@@ -227,9 +214,6 @@ impl Ring {
             }
             b.insert(i, (deliver_at, self.seq, token));
             self.wheel_live += 1;
-            if !self.wheel_dirty.get() {
-                self.wheel_min.set(self.wheel_min.get().min(deliver_at));
-            }
         }
         self.sent.inc();
         deliver_at
@@ -250,13 +234,9 @@ impl Ring {
                 self.delivered.inc();
             }
             self.wheel_live -= k;
-            if k > 0 {
-                self.note_wheel_removed();
-            }
             return;
         }
         if self.wheel_live > 0 {
-            let before = self.wheel_live;
             let last = now.min(self.base + (WHEEL_SLOTS as Cycle - 1));
             for c in self.base..=last {
                 let bi = (c & WHEEL_MASK) as usize;
@@ -291,9 +271,6 @@ impl Ring {
                     self.delivered.inc();
                 }
             }
-            if self.wheel_live != before {
-                self.note_wheel_removed();
-            }
         }
         // Wheel fully drained (or empty): anything still due is overflow.
         while let Some(&Reverse((at, _, token))) = self.overflow.peek() {
@@ -307,47 +284,6 @@ impl Ring {
         self.base = now + 1;
     }
 
-    /// Wheel entries were removed: the cached minimum is stale. Reset it
-    /// outright when the wheel emptied, else defer the rescan to the next
-    /// probe.
-    fn note_wheel_removed(&mut self) {
-        if self.wheel_live == 0 {
-            self.wheel_min.set(Cycle::MAX);
-            self.wheel_dirty.set(false);
-        } else {
-            self.wheel_dirty.set(true);
-        }
-    }
-
-    /// Earliest pending delivery, if any (lets the driver skip idle
-    /// spans). O(1) except on the first probe after a wheel delivery,
-    /// which rescans from `base` to refresh the cached minimum.
-    pub fn next_delivery(&self) -> Option<Cycle> {
-        let over = self.overflow.peek().map(|&Reverse((at, _, _))| at);
-        let wheel = if self.wheel_live == 0 {
-            None
-        } else {
-            if self.wheel_dirty.get() {
-                let at = (0..WHEEL_SLOTS as Cycle)
-                    .find_map(|off| {
-                        // The first non-empty bucket from `base` holds the
-                        // earliest wheel delivery (parks sort to its front).
-                        self.wheel[((self.base + off) & WHEEL_MASK) as usize]
-                            .first()
-                            .map(|&(at, _, _)| at)
-                    })
-                    .expect("wheel_live > 0 implies a non-empty bucket");
-                self.wheel_min.set(at);
-                self.wheel_dirty.set(false);
-            }
-            Some(self.wheel_min.get())
-        };
-        match (wheel, over) {
-            (Some(w), Some(o)) => Some(w.min(o)),
-            (a, b) => a.or(b),
-        }
-    }
-
     pub fn idle(&self) -> bool {
         self.wheel_live == 0 && self.overflow.is_empty()
     }
@@ -358,8 +294,6 @@ impl Ring {
         }
         self.wheel_live = 0;
         self.base = 0;
-        self.wheel_min.set(Cycle::MAX);
-        self.wheel_dirty.set(false);
         self.overflow.clear();
         self.inject_free.fill([0, 0]);
     }
@@ -448,15 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn next_delivery_reports_earliest() {
-        let mut r = Ring::new(TOPO);
-        assert_eq!(r.next_delivery(), None);
-        r.send(0, StopId(0), StopId(4), 1);
-        r.send(0, StopId(0), StopId(1), 2); // injects at 1, arrives 2
-        assert_eq!(r.next_delivery(), Some(2));
-    }
-
-    #[test]
     fn wide_stop_injects_multiple_per_cycle() {
         let mut r = Ring::new(TOPO);
         r.set_stop_width(StopId(5), 4);
@@ -486,7 +411,8 @@ mod tests {
         // keep this on the wheel, and the drain must cross the gap.
         let t = r.send(1_000_000, StopId(0), StopId(3), 2);
         assert_eq!(t, 1_000_003);
-        assert_eq!(r.next_delivery(), Some(t));
+        r.drain_delivered(t - 1, &mut out);
+        assert!(out.is_empty());
         r.drain_delivered(t, &mut out);
         assert_eq!(out, vec![2]);
         assert!(r.idle());
@@ -532,7 +458,6 @@ mod tests {
         // delivered on the next drain even of the same cycle.
         let t = r.send(5, StopId(2), StopId(2), 7);
         assert_eq!(t, 5);
-        assert_eq!(r.next_delivery(), Some(5));
         r.drain_delivered(5, &mut out);
         assert_eq!(out, vec![7]);
         assert!(r.idle());
@@ -559,16 +484,12 @@ mod tests {
     }
 
     #[test]
-    fn fault_delay_is_visible_to_next_delivery() {
+    fn fault_delay_postpones_delivery() {
         use gat_sim::rng::SimRng;
         let mut r = Ring::new(TOPO);
         r.set_fault_injector(DelayInjector::new(1.0, 50, 1, SimRng::new(3).fork("ring")));
         let t = r.send(0, StopId(0), StopId(1), 7);
-        assert_eq!(
-            r.next_delivery(),
-            Some(t),
-            "probe horizon covers the replay"
-        );
+        assert_eq!(t, 51, "one hop plus the replay delay");
         assert_eq!(r.faults_injected(), 1);
         let mut out = Vec::new();
         r.drain_delivered(t - 1, &mut out);

@@ -5,8 +5,8 @@
 //! misbehave and how hard. Every injector draws from a [`SimRng`] forked
 //! off the plan's seed with a stable per-component label, so a faulted run
 //! is exactly as reproducible as a clean one: same seed + same plan →
-//! byte-identical exports, with fast-forward on or off and independent of
-//! the experiment harness's thread count.
+//! byte-identical exports on every rerun, independent of the experiment
+//! harness's thread count.
 //!
 //! The plan is parsed from a compact `key=value[,key=value...]` spec
 //! (CLI `--faults`, environment `GAT_FAULTS`):
@@ -93,20 +93,6 @@ impl StallWindow {
     pub fn stalled(&self, g: Cycle) -> bool {
         g % self.period < self.len
     }
-
-    /// First GPU cycle strictly after `g` at which the stalled/running
-    /// state changes. Fast-forward spans must never straddle one of these
-    /// boundaries, or per-cycle gating stats would diverge from the
-    /// cycle-by-cycle loop.
-    #[inline]
-    pub fn next_boundary(&self, g: Cycle) -> Cycle {
-        let pos = g % self.period;
-        if pos < self.len {
-            g + (self.len - pos)
-        } else {
-            g + (self.period - pos)
-        }
-    }
 }
 
 /// The full chaos configuration for one run. `Default` is fault-free.
@@ -122,8 +108,8 @@ pub struct FaultPlan {
     /// events the FRPU observes (RTP retirement timestamps and work
     /// counters). `0.0` disables.
     pub frpu_jitter: f64,
-    /// Wedge the GPU scheduler (quota 0, no forward progress, machine
-    /// claims non-quiescent) from this CPU cycle on: the liveness-watchdog
+    /// Wedge the GPU scheduler (quota 0, no forward progress, and no timed
+    /// gate to explain it) from this CPU cycle on: the liveness-watchdog
     /// test fixture.
     pub wedge: Option<Cycle>,
 }
@@ -449,17 +435,6 @@ mod tests {
         assert!(!w.stalled(10));
         assert!(!w.stalled(99));
         assert!(w.stalled(100));
-        assert_eq!(w.next_boundary(0), 10);
-        assert_eq!(w.next_boundary(9), 10);
-        assert_eq!(w.next_boundary(10), 100);
-        assert_eq!(w.next_boundary(99), 100);
-        assert_eq!(w.next_boundary(100), 110);
-        // The boundary always strictly advances.
-        for g in 0..300 {
-            let b = w.next_boundary(g);
-            assert!(b > g);
-            assert_ne!(w.stalled(g), w.stalled(b), "state flips at {b}");
-        }
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //!
 //! | variable             | accessor            | effect                          |
 //! |----------------------|---------------------|---------------------------------|
-//! | `GAT_NO_FASTFORWARD` | [`no_fastforward`]  | disable the quiescence engine   |
 //! | `GAT_PARANOIA`       | [`paranoia`]        | per-tick invariant sweeps       |
 //! | `GAT_FAULTS`         | [`faults_spec`]     | default fault-injection plan    |
 //!
@@ -24,13 +23,6 @@
 /// `GAT_PARANOIA=1` enables, `GAT_PARANOIA=0` / unset / empty disables.
 fn switch(name: &str) -> bool {
     std::env::var_os(name).is_some_and(|v| !v.is_empty() && v != "0")
-}
-
-/// `GAT_NO_FASTFORWARD`: escape hatch for bisecting against the reference
-/// cycle loop — disables the quiescence-aware fast-forward engine
-/// (DESIGN.md §8) regardless of the machine configuration.
-pub fn no_fastforward() -> bool {
-    switch("GAT_NO_FASTFORWARD")
 }
 
 /// `GAT_PARANOIA`: enable per-tick structural invariant sweeps (MSHR

@@ -10,15 +10,12 @@
 //!   so that every simulation is bit-reproducible,
 //! * lightweight statistics ([`stats`]) — counters, running means and
 //!   log-scale histograms — used for every number reported in the paper's
-//!   figures, and
-//! * a binary-heap [`calendar::EventCalendar`] used by the event-scheduled
-//!   parts of the machine (DRAM bank state machines).
+//!   figures.
 //!
 //! Nothing in this crate knows about caches, DRAM or GPUs; it is the
 //! substrate under the substrates.
 
 pub mod addr;
-pub mod calendar;
 pub mod clock;
 pub mod events;
 pub mod faults;

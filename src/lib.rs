@@ -33,7 +33,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`sim`] | clocks, deterministic RNG, statistics, event calendar |
+//! | [`sim`] | clocks, deterministic RNG, statistics, fault plans |
 //! | [`cache`] | set-associative caches (LRU/SRRIP), MSHRs |
 //! | [`dram`] | DDR3-2133 model; FR-FCFS, CPU-priority, SMS, DynPrio |
 //! | [`ring`] | bidirectional ring interconnect |

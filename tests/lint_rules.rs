@@ -1,6 +1,6 @@
-//! Fixture suite for the determinism linter (DESIGN.md §10): one passing
-//! and one failing case per rule R1–R9, the pragma machinery, and the
-//! capstone check that the real tree is lint-clean.
+//! Fixture suite for the determinism linter (DESIGN.md §10): passing and
+//! failing cases per rule, the pragma machinery, and the capstone check
+//! that the real tree is lint-clean.
 //!
 //! Fixtures are linted fully in memory via [`gat_lint::lint_sources`], so
 //! the failing snippets never exist as workspace files (the linter would
@@ -148,46 +148,6 @@ fn r5_passes_total_cmp_and_trait_impls() {
     assert!(f.is_empty(), "{f:?}");
 }
 
-// --- R7: activity-polling APIs ----------------------------------------
-
-#[test]
-fn r7_flags_next_activity_style_polling() {
-    let f = lint_sim(
-        "impl Core {\n    pub fn next_activity(&self, now: u64) -> Option<u64> { None }\n}\n",
-    );
-    assert_eq!(rules(&f), vec!["R7"]);
-    assert_eq!(f[0].line, 2);
-    assert!(f[0].message.contains("next_activity"));
-    // Call sites are as illegal as definitions: polling creeps back in
-    // through callers first.
-    let f = lint_sim("pub fn ff(c: &Core, now: u64) { let _ = c.poll_activity(now); }");
-    assert_eq!(rules(&f), vec!["R7"]);
-    let f = lint_sim("pub fn probe(u: &Uncore) -> bool { u.has_activity() }");
-    assert_eq!(rules(&f), vec!["R7"]);
-}
-
-#[test]
-fn r7_passes_calendar_scheduling_and_plain_activity_words() {
-    // The sanctioned replacement: push-model wake registration.
-    let f = lint_sim(
-        "pub fn arm(cal: &mut WakeCalendar, src: usize, at: u64) { cal.schedule(src, at); }\n",
-    );
-    assert!(f.is_empty(), "{f:?}");
-    // `activity` as a plain word (stats fields, docs) is not a probe API.
-    let f = lint_sim("pub struct Stats { pub activity: u64 }\npub fn last_activity_cycle(s: &Stats) -> u64 { s.activity }\n");
-    assert!(f.is_empty(), "{f:?}");
-}
-
-#[test]
-fn r7_is_suppressible_with_a_pragma_and_exempt_in_tests() {
-    let f = lint_sim(
-        "// gat-lint: allow(R7, \"transitional shim until the GPU queue model lands\")\npub fn next_activity() {}\n",
-    );
-    assert!(f.is_empty(), "{f:?}");
-    let f = lint_sim("#[cfg(test)]\nmod tests {\n    fn next_activity() -> u64 { 0 }\n}\n");
-    assert!(f.is_empty(), "{f:?}");
-}
-
 // --- R8: per-tick heap allocation --------------------------------------
 
 /// Lint one synthetic file at a tick-path module path (rule R8 applies).
@@ -316,77 +276,6 @@ fn r9_exempts_the_supervisor_tests_and_reasoned_pragmas() {
     assert!(f.is_empty(), "{f:?}");
 }
 
-// --- R10: wake-soundness (structural) ----------------------------------
-
-/// A minimal calendar file so the structural pass has schedule/cancel
-/// primitives to compute reachability against.
-fn calendar_fixture() -> SourceFile {
-    SourceFile {
-        path: "crates/sim/src/calendar.rs".into(),
-        text: "pub struct WakeCalendar;\nimpl WakeCalendar {\n    pub fn schedule(&mut self, source: u32, at: u64) {}\n    pub fn cancel(&mut self, source: u32) {}\n}\n".into(),
-    }
-}
-
-fn lint_wake(system_src: &str) -> Vec<Finding> {
-    let files = vec![
-        calendar_fixture(),
-        SourceFile {
-            path: "crates/hetero/src/system.rs".into(),
-            text: system_src.into(),
-        },
-    ];
-    lint_sources(&files, "", "")
-}
-
-#[test]
-fn r10_flags_mutation_without_a_reachable_schedule() {
-    let f = lint_wake(
-        "pub struct System {\n    // gat-lint: wake-state\n    next_epoch: u64,\n}\nimpl System {\n    pub fn drift(&mut self) { self.next_epoch += 4; }\n}\n",
-    );
-    assert_eq!(rules(&f), vec!["R10"], "{f:?}");
-    assert_eq!(f[0].line, 6);
-    assert!(f[0].message.contains("next_epoch"), "{}", f[0].message);
-    assert!(f[0].message.contains("drift"), "{}", f[0].message);
-}
-
-#[test]
-fn r10_passes_when_schedule_is_reachable_directly_or_transitively() {
-    let f = lint_wake(
-        "pub struct System {\n    // gat-lint: wake-state\n    next_epoch: u64,\n}\nimpl System {\n    pub fn direct(&mut self) { self.next_epoch = 1; self.wakes.schedule(3, 9); }\n    pub fn via_helper(&mut self) { self.next_epoch = 2; self.rearm(); }\n    fn rearm(&mut self) { self.wakes.cancel(3); }\n}\n",
-    );
-    assert!(f.is_empty(), "{f:?}");
-}
-
-#[test]
-fn r10_exempts_constructors_and_unchecked_modules() {
-    // `fn new` builds state before the calendar exists.
-    let f = lint_wake(
-        "pub struct System {\n    // gat-lint: wake-state\n    next_epoch: u64,\n}\nimpl System {\n    pub fn new() -> Self {\n        let mut s = Self { next_epoch: 0 };\n        s.next_epoch = 5;\n        s\n    }\n}\n",
-    );
-    assert!(f.is_empty(), "{f:?}");
-    // The same mutation outside a wake-checked module is not R10's business.
-    let files = vec![SourceFile {
-        path: "crates/hetero/src/config.rs".into(),
-        text: "pub struct C {\n    // gat-lint: wake-state\n    next_epoch: u64,\n}\nimpl C {\n    pub fn f(&mut self) { self.next_epoch = 3; }\n}\n".into(),
-    }];
-    assert!(lint_sources(&files, "", "").is_empty());
-}
-
-#[test]
-fn r10_suppressible_with_a_reasoned_pragma() {
-    let f = lint_wake(
-        "pub struct System {\n    // gat-lint: wake-state\n    next_epoch: u64,\n}\nimpl System {\n    pub fn drift(&mut self) {\n        // gat-lint: allow(R10, \"certified externally by the tick-loop re-probe\")\n        self.next_epoch += 4;\n    }\n}\n",
-    );
-    assert!(f.is_empty(), "{f:?}");
-}
-
-#[test]
-fn unattached_wake_marker_is_a_pragma_error() {
-    let f = lint_wake("// gat-lint: wake-state\n\npub fn lonely() {}\n");
-    assert_eq!(rules(&f), vec!["pragma"], "{f:?}");
-    assert!(f[0].message.contains("wake-state"), "{}", f[0].message);
-}
-
 // --- R11: match-exhaustiveness drift ------------------------------------
 
 #[test]
@@ -473,24 +362,24 @@ fn r12_passes_single_unit_code_and_conversions() {
     assert!(f.is_empty(), "{f:?}");
 }
 
-// --- Pragma/marker census ----------------------------------------------
+// --- Pragma census -----------------------------------------------------
 
-/// The audited inventory of suppression pragmas and wake-state markers in
-/// the scanned tree. A new pragma (or a deleted one) must update these
-/// counts *and* survive the capstone's unused-pragma check — so a stale
-/// exemption cannot slip in quietly, and neither can an unreviewed new
-/// one.
+/// The audited inventory of suppression pragmas in the scanned tree. A
+/// new pragma (or a deleted one) must update this count *and* survive the
+/// capstone's unused-pragma check — so a stale exemption cannot slip in
+/// quietly, and neither can an unreviewed new one. Any other `gat-lint:`
+/// comment (a marker grammar the lexer no longer knows) counts as
+/// malformed, and the census expects none.
 #[test]
 fn pragma_census_matches_the_audited_inventory() {
-    const EXPECTED_PRAGMAS: usize = 13;
-    const EXPECTED_WAKE_MARKERS: usize = 11;
+    const EXPECTED_PRAGMAS: usize = 8;
 
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut paths = Vec::new();
     collect_rs(&root.join("crates"), &mut paths);
     paths.sort();
     let mut pragmas: Vec<String> = Vec::new();
-    let mut markers: Vec<String> = Vec::new();
+    let mut malformed: Vec<String> = Vec::new();
     for p in &paths {
         let rel = p
             .strip_prefix(root)
@@ -505,8 +394,8 @@ fn pragma_census_matches_the_audited_inventory() {
         for pr in &lexed.pragmas {
             pragmas.push(format!("{rel}:{} allow({})", pr.line, pr.rule));
         }
-        for line in &lexed.wake_markers {
-            markers.push(format!("{rel}:{line}"));
+        for (line, problem) in &lexed.malformed {
+            malformed.push(format!("{rel}:{line} {problem}"));
         }
     }
     assert_eq!(
@@ -515,11 +404,10 @@ fn pragma_census_matches_the_audited_inventory() {
         "pragma inventory drifted — re-audit and update the census:\n{}",
         pragmas.join("\n")
     );
-    assert_eq!(
-        markers.len(),
-        EXPECTED_WAKE_MARKERS,
-        "wake-state marker inventory drifted — update the census:\n{}",
-        markers.join("\n")
+    assert!(
+        malformed.is_empty(),
+        "gat-lint comments that are not pragmas:\n{}",
+        malformed.join("\n")
     );
 }
 
