@@ -17,9 +17,11 @@
 //! * full-llc-lru        — full, with an LRU LLC instead of SRRIP
 //! * full-sms-dram       — full throttling over an SMS-0.9 DRAM scheduler
 
+#![warn(clippy::disallowed_methods)]
+
 use std::io::Write;
 
-use gat_bench::{fail, parse_num, CliError};
+use gat_bench::{fail, parse_num, Args, CliError};
 use gat_cache::ReplacementPolicy;
 use gat_dram::SchedulerKind;
 use gat_hetero::{HeteroSystem, MachineConfig, QosMode, RunLimits, RunResult};
@@ -33,30 +35,19 @@ fn main() {
 }
 
 fn real_main() -> Result<(), CliError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let k: usize = match args.first() {
-        Some(s) if !s.starts_with("--") => parse_num("mix-number", s)?,
-        _ => 7,
+    let args = Args::from_env("--scale --json", "")?;
+    let k: usize = match args.positional().first() {
+        Some(s) => parse_num("mix-number", s)?,
+        None => 7,
     };
     if !(1..=14).contains(&k) {
         return Err(CliError::Usage(format!(
             "mix-number must be 1..=14, got {k}"
         )));
     }
-    let scale: u32 = match args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-    {
-        Some(v) => parse_num("--scale", v)?,
-        None => 128,
-    };
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let mut json = match json_path.as_ref() {
+    let scale: u32 = args.num("--scale", 128)?;
+    let json_path = args.get("--json");
+    let mut json = match json_path {
         Some(p) => Some(std::io::BufWriter::new(
             std::fs::File::create(p).map_err(|e| CliError::Io(format!("{p}: {e}")))?,
         )),

@@ -5,7 +5,9 @@
 //! cargo run --release -p gat-bench --bin calibrate -- [cpus|games|mix M7] [--scale N]
 //! ```
 
-use gat_bench::{fail, parse_num, CliError};
+#![warn(clippy::disallowed_methods)]
+
+use gat_bench::{fail, Args, CliError};
 use gat_dram::SchedulerKind;
 use gat_hetero::{HeteroSystem, MachineConfig, QosMode, RunLimits};
 use gat_workloads::{all_games, all_spec, mixes_m};
@@ -27,16 +29,10 @@ fn main() {
 }
 
 fn real_main() -> Result<(), CliError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let what = args.first().map(|s| s.as_str()).unwrap_or("cpus");
-    let scale: u32 = match args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-    {
-        Some(v) => parse_num("--scale", v)?,
-        None => 128,
-    };
+    let args = Args::from_env("--scale", "")?;
+    let words = args.positional();
+    let what = words.first().map_or("cpus", String::as_str);
+    let scale: u32 = args.num("--scale", 128)?;
     {
         let mut probe = MachineConfig::table_one(scale, 3);
         probe.limits = limits();
@@ -88,7 +84,7 @@ fn real_main() -> Result<(), CliError> {
             }
         }
         "mix" => {
-            let name = args.get(1).map(|s| s.as_str()).unwrap_or("M7");
+            let name = words.get(1).map_or("M7", String::as_str);
             let mix = mixes_m()
                 .into_iter()
                 .find(|m| m.name == name)

@@ -15,10 +15,12 @@
 //!
 //! Exit codes: 0 success, 1 I/O failure, 2 bad usage or configuration.
 
+#![warn(clippy::disallowed_methods)]
+
 use std::io::Write;
 
 use gat_bench::{
-    fail, fault_plan_from, figure_tables, is_known_figure, parse_num, render_tables, tables_jsonl,
+    fail, fault_plan_from, figure_tables, is_known_figure, render_tables, tables_jsonl, Args,
     CliError, FIGURES,
 };
 use gat_hetero::experiments::ExpConfig;
@@ -33,42 +35,30 @@ fn main() {
 }
 
 fn real_main() -> Result<(), CliError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
+    let args = Args::from_env(
+        "--scale --frames --instr --seed --warmup --threads --json --faults",
+        "",
+    )?;
+    let [which] = args.positional() else {
         return Err(CliError::Usage(USAGE.into()));
-    }
-    let which = args[0].clone();
-    if which != "all" && !is_known_figure(&which) {
+    };
+    if which != "all" && !is_known_figure(which) {
         return Err(CliError::Usage(format!(
             "unknown figure id {which:?}; known: {FIGURES:?} (or 'all')"
         )));
     }
     let mut cfg = ExpConfig::default();
-    let mut json_path: Option<String> = None;
-    let mut faults_spec: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        let key = args[i].as_str();
-        let val = args
-            .get(i + 1)
-            .ok_or_else(|| CliError::Usage(format!("{key} needs a value\n{USAGE}")))?;
-        match key {
-            "--scale" => cfg.scale = parse_num(key, val)?,
-            "--frames" => cfg.limits.gpu_frames = parse_num(key, val)?,
-            "--instr" => cfg.limits.cpu_instructions = parse_num(key, val)?,
-            "--seed" => cfg.seed = parse_num(key, val)?,
-            "--warmup" => cfg.limits.warmup_cycles = parse_num(key, val)?,
-            "--threads" => cfg.threads = parse_num(key, val)?,
-            "--json" => json_path = Some(val.clone()),
-            "--faults" => faults_spec = Some(val.clone()),
-            _ => return Err(CliError::Usage(format!("unknown flag {key:?}\n{USAGE}"))),
-        }
-        i += 2;
-    }
-    cfg.faults = fault_plan_from(faults_spec)?;
+    cfg.scale = args.num("--scale", cfg.scale)?;
+    cfg.limits.gpu_frames = args.num("--frames", cfg.limits.gpu_frames)?;
+    cfg.limits.cpu_instructions = args.num("--instr", cfg.limits.cpu_instructions)?;
+    cfg.seed = args.num("--seed", cfg.seed)?;
+    cfg.limits.warmup_cycles = args.num("--warmup", cfg.limits.warmup_cycles)?;
+    cfg.threads = args.num("--threads", cfg.threads)?;
+    cfg.faults = fault_plan_from(args.get("--faults"))?;
     cfg.validate()
         .map_err(|e| CliError::Config(e.to_string()))?;
-    let mut json = match json_path.as_ref() {
+    let json_path = args.get("--json");
+    let mut json = match json_path {
         Some(p) => Some(std::io::BufWriter::new(
             std::fs::File::create(p).map_err(|e| CliError::Io(format!("{p}: {e}")))?,
         )),

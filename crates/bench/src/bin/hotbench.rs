@@ -24,11 +24,13 @@
 //! new anchor point is recorded deliberately, by running without `--gate`
 //! and `--out` pointed at the baseline file.
 
+#![warn(clippy::disallowed_methods)]
+
 use std::time::Instant;
 
-use gat_bench::{fail, figure_run, is_known_figure, parse_num, CliError};
+use gat_bench::{fail, figure_run, is_known_figure, Args, CliError};
 use gat_hetero::experiments::ExpConfig;
-use gat_sim::json::{validate_json_line, Obj};
+use gat_sim::json::{parse_json_object, validate_json_line, JsonValue, Obj};
 
 const USAGE: &str = "hotbench [--quick] [--gate] [--out PATH] [--baseline PATH] [--band F] \
      [--drivers a,b,c] [--scale N] [--frames N] [--instr N] [--seed N]";
@@ -40,27 +42,17 @@ const USAGE: &str = "hotbench [--quick] [--gate] [--out PATH] [--baseline PATH] 
 /// hypervisor steal time alone.
 const GATE_TRAJECTORY_BAND: f64 = 0.10;
 
-/// Extract a scalar field from one flat JSONL line produced by [`Obj`].
-///
-/// Good enough on purpose: hotbench lines are flat objects whose string
-/// values (driver ids, bench names) never contain escapes, commas or
-/// braces, so scanning to the next `,`/`}` after the key is exact. Not a
-/// general JSON parser and must not grow into one.
-fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim().trim_matches('"'))
+/// Parse one trajectory line; `None` for a line that is not a JSON object.
+fn parse_line(line: &str) -> Option<JsonValue> {
+    parse_json_object(line).ok().map(JsonValue::Obj)
 }
 
-/// Config fingerprint of a `bench_meta` line, used to decide whether a
-/// recorded trajectory block is comparable to the current run.
-fn meta_fingerprint(line: &str) -> Option<String> {
+/// Config fingerprint of a parsed `bench_meta` line, used to decide
+/// whether a recorded trajectory block is comparable to the current run.
+fn meta_fingerprint(meta: &JsonValue) -> Option<String> {
     let mut fp = String::new();
     for key in ["scale", "frames", "instr", "seed", "threads", "quick"] {
-        fp.push_str(json_field(line, key)?);
-        fp.push(';');
+        fp.push_str(&format!("{:?};", meta.get(key)?));
     }
     Some(fp)
 }
@@ -72,15 +64,15 @@ fn meta_fingerprint(line: &str) -> Option<String> {
 fn last_recorded_point(text: &str, want_fp: &str) -> std::collections::BTreeMap<String, f64> {
     let mut out = std::collections::BTreeMap::new();
     let mut block_matches = false;
-    for line in text.lines() {
-        match json_field(line, "type") {
+    for line in text.lines().filter_map(parse_line) {
+        match line.get("type").and_then(JsonValue::as_str) {
             Some("bench_meta") => {
-                block_matches = meta_fingerprint(line).as_deref() == Some(want_fp);
+                block_matches = meta_fingerprint(&line).as_deref() == Some(want_fp);
             }
             Some("hotbench") if block_matches => {
                 if let (Some(driver), Some(cps)) = (
-                    json_field(line, "driver"),
-                    json_field(line, "cycles_per_s").and_then(|v| v.parse::<f64>().ok()),
+                    line.get("driver").and_then(JsonValue::as_str),
+                    line.get("cycles_per_s").and_then(JsonValue::as_f64),
                 ) {
                     out.insert(driver.to_string(), cps);
                 }
@@ -98,67 +90,40 @@ fn main() {
 }
 
 fn real_main() -> Result<(), CliError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::from_env(
+        "--out --baseline --band --drivers --scale --frames --instr --seed",
+        "--quick --gate",
+    )?;
+    if let Some(word) = args.positional().first() {
+        return Err(CliError::Usage(format!(
+            "unexpected argument {word:?}\n{USAGE}"
+        )));
+    }
     let mut cfg = ExpConfig {
         // Fixed measurement config: single worker so cycles/s measures
         // the simulator loop, not thread scheduling.
         threads: 1,
-        scale: 128,
-        seed: 538_379_561,
+        scale: args.num("--scale", 128)?,
+        seed: args.num("--seed", 538_379_561)?,
         ..ExpConfig::default()
     };
-    cfg.limits.gpu_frames = 4;
-    cfg.limits.cpu_instructions = 200_000;
-    let mut out_path = String::from("BENCH_hotpath.json");
-    let mut baseline_path = String::from("BENCH_hotpath.json");
-    let mut band = GATE_TRAJECTORY_BAND;
-    let mut drivers: Vec<String> = ["fig1+2", "fig3", "fig8", "fig9+10+11", "fig12", "fig13+14"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let mut quick = false;
-    let mut gate = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => {
-                quick = true;
-                i += 1;
-                continue;
-            }
-            "--gate" => {
-                gate = true;
-                i += 1;
-                continue;
-            }
-            key => {
-                let val = args
-                    .get(i + 1)
-                    .ok_or_else(|| CliError::Usage(format!("{key} needs a value\n{USAGE}")))?;
-                match key {
-                    "--out" => out_path = val.clone(),
-                    "--baseline" => baseline_path = val.clone(),
-                    "--band" => {
-                        band = val.parse().map_err(|_| {
-                            CliError::Usage(format!("--band wants a fraction, got {val:?}"))
-                        })?;
-                        if !(0.0..1.0).contains(&band) {
-                            return Err(CliError::Usage(format!(
-                                "--band must be in [0, 1), got {band}"
-                            )));
-                        }
-                    }
-                    "--drivers" => drivers = val.split(',').map(|s| s.trim().to_string()).collect(),
-                    "--scale" => cfg.scale = parse_num(key, val)?,
-                    "--frames" => cfg.limits.gpu_frames = parse_num(key, val)?,
-                    "--instr" => cfg.limits.cpu_instructions = parse_num(key, val)?,
-                    "--seed" => cfg.seed = parse_num(key, val)?,
-                    _ => return Err(CliError::Usage(format!("unknown flag {key:?}\n{USAGE}"))),
-                }
-                i += 2;
-            }
-        }
+    cfg.limits.gpu_frames = args.num("--frames", 4)?;
+    cfg.limits.cpu_instructions = args.num("--instr", 200_000)?;
+    let out_path = args.get("--out").unwrap_or("BENCH_hotpath.json");
+    let baseline_path = args.get("--baseline").unwrap_or("BENCH_hotpath.json");
+    let band: f64 = args.num("--band", GATE_TRAJECTORY_BAND)?;
+    if !(0.0..1.0).contains(&band) {
+        return Err(CliError::Usage(format!(
+            "--band must be in [0, 1), got {band}"
+        )));
     }
+    let mut drivers: Vec<String> = args
+        .get("--drivers")
+        .unwrap_or("fig1+2,fig3,fig8,fig9+10+11,fig12,fig13+14")
+        .split(',')
+        .map(|s| s.trim().to_string())
+        .collect();
+    let (quick, gate) = (args.has("--quick"), args.has("--gate"));
     for id in &drivers {
         if !is_known_figure(id) {
             return Err(CliError::Usage(format!("unknown driver {id:?}")));
@@ -193,8 +158,9 @@ fn real_main() -> Result<(), CliError> {
     // exactly this config (empty when the baseline file is absent or has
     // no comparable block — the gate then has nothing to compare).
     let recorded_points = if gate {
-        let fp = meta_fingerprint(&lines[0]).expect("hotbench meta line must fingerprint");
-        match std::fs::read_to_string(&baseline_path) {
+        let meta = parse_line(&lines[0]).expect("hotbench meta line must parse");
+        let fp = meta_fingerprint(&meta).expect("hotbench meta line must fingerprint");
+        match std::fs::read_to_string(baseline_path) {
             Ok(text) => last_recorded_point(&text, &fp),
             Err(_) => {
                 eprintln!("# gate: no baseline trajectory at {baseline_path}; skipping cycles/s comparison");
@@ -241,7 +207,7 @@ fn real_main() -> Result<(), CliError> {
         }
     }
 
-    append_trajectory(&out_path, &lines)?;
+    append_trajectory(out_path, &lines)?;
     eprintln!("# appended trajectory point to {out_path}");
     if !regressions.is_empty() {
         return Err(CliError::Gate(regressions.join("; ")));
@@ -268,4 +234,36 @@ fn append_trajectory(path: &str, lines: &[String]) -> Result<(), CliError> {
         out.push('\n');
     }
     std::fs::write(path, &out).map_err(|e| CliError::Io(format!("{path}: {e}")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_last_point_at_the_same_config_wins() {
+        let meta = |scale: u32| {
+            format!(
+                r#"{{"type":"bench_meta","scale":{scale},"frames":4,"instr":9,"seed":1,"threads":1,"quick":false}}"#
+            )
+        };
+        let row = |driver: &str, cps: f64| {
+            format!(r#"{{"type":"hotbench","driver":"{driver}","cycles_per_s":{cps}}}"#)
+        };
+        let text = [
+            meta(128),
+            row("fig3", 1.0),
+            meta(256),
+            row("fig3", 9.0),
+            "not JSON".into(),
+        ]
+        .into_iter()
+        .chain([meta(128), row("fig3", 2.0), row("fig8", 3.5)])
+        .collect::<Vec<_>>()
+        .join("\n");
+        let fp = meta_fingerprint(&parse_line(&meta(128)).unwrap()).unwrap();
+        let points = last_recorded_point(&text, &fp);
+        assert_eq!(points.len(), 2, "{points:?}");
+        assert_eq!((points["fig3"], points["fig8"]), (2.0, 3.5));
+    }
 }

@@ -24,7 +24,9 @@
 //! * a GPU-only run: `runsim --game CRYSIS --cpus ""`
 //! * chaos smoke: `runsim --faults "dram.bounce=0.2,ring.drop=0.05"`
 
-use gat_bench::{fail, fault_plan_from, parse_num, CliError};
+#![warn(clippy::disallowed_methods)]
+
+use gat_bench::{fail, fault_plan_from, parse_num, Args, CliError};
 use gat_cache::ReplacementPolicy;
 use gat_dram::SchedulerKind;
 use gat_hetero::{FillPolicyKind, HeteroSystem, MachineConfig, QosMode};
@@ -37,41 +39,21 @@ fn main() {
 }
 
 fn real_main() -> Result<(), CliError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let has = |flag: &str| args.iter().any(|a| a == flag);
+    let args = Args::from_env(
+        "--game --cpus --sched --qos --fill --scale --instr --frames --warmup --seed --gpu-ways \
+         --json --faults --watchdog",
+        "--partition-channels --llc-lru",
+    )?;
 
-    let scale: u32 = match get("--scale") {
-        Some(v) => parse_num("--scale", &v)?,
-        None => 128,
-    };
-    let seed: u64 = match get("--seed") {
-        Some(v) => parse_num("--seed", &v)?,
-        None => 1,
-    };
-    let mut cfg = MachineConfig::table_one(scale, seed);
-    cfg.limits.cpu_instructions = match get("--instr") {
-        Some(v) => parse_num("--instr", &v)?,
-        None => 400_000,
-    };
-    cfg.limits.gpu_frames = match get("--frames") {
-        Some(v) => parse_num("--frames", &v)?,
-        None => 4,
-    };
-    cfg.limits.warmup_cycles = match get("--warmup") {
-        Some(v) => parse_num("--warmup", &v)?,
-        None => 200_000,
-    };
-    if let Some(v) = get("--watchdog") {
-        cfg.limits.watchdog = parse_num("--watchdog", &v)?;
+    let mut cfg = MachineConfig::table_one(args.num("--scale", 128)?, args.num("--seed", 1)?);
+    cfg.limits.cpu_instructions = args.num("--instr", 400_000)?;
+    cfg.limits.gpu_frames = args.num("--frames", 4)?;
+    cfg.limits.warmup_cycles = args.num("--warmup", 200_000)?;
+    if let Some(w) = args.num_opt("--watchdog")? {
+        cfg.limits.watchdog = w;
     }
 
-    cfg.sched = match get("--sched").as_deref() {
+    cfg.sched = match args.get("--sched") {
         None | Some("frfcfs") => SchedulerKind::FrFcfs,
         Some("cpuprio") => SchedulerKind::FrFcfsCpuPrio,
         Some("sms09") => SchedulerKind::Sms(0.9),
@@ -80,7 +62,7 @@ fn real_main() -> Result<(), CliError> {
         Some("static") => SchedulerKind::StaticCpuPrio,
         Some(o) => return Err(CliError::Usage(format!("unknown scheduler {o:?}"))),
     };
-    cfg.qos = match get("--qos").as_deref() {
+    cfg.qos = match args.get("--qos") {
         None | Some("off") => QosMode::Off,
         Some("observe") => QosMode::Observe,
         Some("throttle") => QosMode::Throttle,
@@ -88,26 +70,25 @@ fn real_main() -> Result<(), CliError> {
         Some("prioonly") => QosMode::CpuPrioOnly,
         Some(o) => return Err(CliError::Usage(format!("unknown qos mode {o:?}"))),
     };
-    cfg.fill_policy = match get("--fill").as_deref() {
+    cfg.fill_policy = match args.get("--fill") {
         None | Some("base") => FillPolicyKind::Baseline,
         Some("bypass") => FillPolicyKind::BypassAll,
         Some("helm") => FillPolicyKind::Helm,
         Some(o) => return Err(CliError::Usage(format!("unknown fill policy {o:?}"))),
     };
-    if let Some(v) = get("--gpu-ways") {
-        cfg.gpu_llc_ways = Some(parse_num("--gpu-ways", &v)?);
-    }
-    cfg.partition_channels = has("--partition-channels");
-    if has("--llc-lru") {
+    cfg.gpu_llc_ways = args.num_opt("--gpu-ways")?;
+    cfg.partition_channels = args.has("--partition-channels");
+    if args.has("--llc-lru") {
         cfg.llc_policy = ReplacementPolicy::Lru;
     }
-    cfg.faults = fault_plan_from(get("--faults"))?;
+    cfg.faults = fault_plan_from(args.get("--faults"))?;
     cfg.validate()
         .map_err(|e| CliError::Config(e.to_string()))?;
 
     let mut apps = Vec::new();
-    for id in get("--cpus")
-        .unwrap_or_else(|| "470,410,433,462".into())
+    for id in args
+        .get("--cpus")
+        .unwrap_or("470,410,433,462")
         .split(',')
         .filter(|s| !s.is_empty())
     {
@@ -118,7 +99,7 @@ fn real_main() -> Result<(), CliError> {
             .ok_or_else(|| CliError::Usage(format!("unknown SPEC id {id}")))?;
         apps.push(p);
     }
-    let g = match get("--game") {
+    let g = match args.get("--game") {
         Some(n) => Some(
             all_games()
                 .into_iter()
@@ -134,12 +115,12 @@ fn real_main() -> Result<(), CliError> {
     let mut sys = HeteroSystem::new(cfg, &apps, g);
     let result = sys.try_run()?;
     print!("{}", result.render_report());
-    if let Some(path) = get("--json") {
+    if let Some(path) = args.get("--json") {
         let mut out = result.to_json();
         out.push('\n');
         out.push_str(&sys.registry_snapshot().to_json());
         out.push('\n');
-        std::fs::write(&path, out).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
+        std::fs::write(path, out).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
         eprintln!("# wrote JSONL result to {path}");
     }
     Ok(())

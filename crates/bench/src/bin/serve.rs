@@ -22,7 +22,9 @@
 //! job failure is typed data in the output), 1 on I/O errors, 2 on bad
 //! usage. The final line on stderr is the batch summary for humans.
 
-use gat_bench::{fail, parse_num, CliError};
+#![warn(clippy::disallowed_methods)]
+
+use gat_bench::{fail, Args, CliError};
 use gat_serve::{
     parse_batch, run_batch, EngineOptions, JsonlFileSink, ResultCache, SinkSlot, StdoutSink,
 };
@@ -35,50 +37,40 @@ fn main() {
 }
 
 fn real_main() -> Result<(), CliError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let has = |flag: &str| args.iter().any(|a| a == flag);
-
-    let jobs_path =
-        get("--jobs").ok_or_else(|| CliError::Usage("--jobs BATCH.jsonl is required".into()))?;
-    let text = std::fs::read_to_string(&jobs_path)
+    let args = Args::from_env("--jobs --out --cache --shards --dump-dir", "--stdout")?;
+    let jobs_path = args
+        .get("--jobs")
+        .ok_or_else(|| CliError::Usage("--jobs BATCH.jsonl is required".into()))?;
+    let text = std::fs::read_to_string(jobs_path)
         .map_err(|e| CliError::Io(format!("{jobs_path}: {e}")))?;
     let items = parse_batch(&text);
     if items.is_empty() {
         return Err(CliError::Usage(format!("{jobs_path}: no job specs")));
     }
 
-    let cache = match get("--cache") {
-        Some(dir) => ResultCache::open(PathBuf::from(&dir).as_path())
+    let cache = match args.get("--cache") {
+        Some(dir) => ResultCache::open(PathBuf::from(dir).as_path())
             .map_err(|e| CliError::Io(format!("--cache {dir}: {e}")))?,
         None => ResultCache::disabled(),
     };
-    let dump_dir = match get("--dump-dir") {
+    let dump_dir = match args.get("--dump-dir") {
         Some(dir) => {
-            let p = PathBuf::from(&dir);
+            let p = PathBuf::from(dir);
             std::fs::create_dir_all(&p)
                 .map_err(|e| CliError::Io(format!("--dump-dir {dir}: {e}")))?;
             Some(p)
         }
         None => None,
     };
-    let shards: usize = match get("--shards") {
-        Some(v) => parse_num("--shards", &v)?,
-        None => 1,
-    };
+    let shards: usize = args.num("--shards", 1)?;
 
     let mut sinks: Vec<SinkSlot> = Vec::new();
-    if let Some(out) = get("--out") {
+    if let Some(out) = args.get("--out") {
         sinks.push(SinkSlot::new(Box::new(JsonlFileSink::create(
             PathBuf::from(out).as_path(),
         ))));
     }
-    if has("--stdout") || sinks.is_empty() {
+    if args.has("--stdout") || sinks.is_empty() {
         sinks.push(SinkSlot::new(Box::new(StdoutSink)));
     }
 

@@ -16,9 +16,11 @@
 //! fault-injection plan; a run that stops making progress exits with
 //! code 3 and a structured diagnostic instead of spinning.
 
+#![warn(clippy::disallowed_methods)]
+
 use std::io::Write;
 
-use gat_bench::{fail, fault_plan_from, parse_num, CliError};
+use gat_bench::{fail, fault_plan_from, parse_num, Args, CliError};
 use gat_dram::SchedulerKind;
 use gat_hetero::{HeteroSystem, MachineConfig, QosMode, RunEvent, RunLimits, SimError};
 use gat_workloads::mix_m;
@@ -30,35 +32,20 @@ fn main() {
 }
 
 fn real_main() -> Result<(), CliError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let k: usize = match args.first() {
-        Some(s) if !s.starts_with("--") => parse_num("mix-number", s)?,
-        _ => 7,
+    let args = Args::from_env("--scale --frames --epoch --json --faults", "")?;
+    let k: usize = match args.positional().first() {
+        Some(s) => parse_num("mix-number", s)?,
+        None => 7,
     };
     if !(1..=14).contains(&k) {
         return Err(CliError::Usage(format!(
             "mix-number must be 1..=14, got {k}"
         )));
     }
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let scale: u32 = match get("--scale") {
-        Some(v) => parse_num("--scale", &v)?,
-        None => 128,
-    };
-    let frames: u32 = match get("--frames") {
-        Some(v) => parse_num("--frames", &v)?,
-        None => 12,
-    };
-    let epoch: u64 = match get("--epoch") {
-        Some(v) => parse_num("--epoch", &v)?,
-        None => 1_000_000,
-    };
-    let json_path = get("--json");
+    let scale: u32 = args.num("--scale", 128)?;
+    let frames: u32 = args.num("--frames", 12)?;
+    let epoch: u64 = args.num("--epoch", 1_000_000)?;
+    let json_path = args.get("--json");
     let mix = mix_m(k);
     println!(
         "timeline of M{k}: {} + CPUs {} (scale {scale}, {frames} frames, target 40 FPS)",
@@ -77,14 +64,14 @@ fn real_main() -> Result<(), CliError> {
         max_cycles: MAX_CYCLES,
         watchdog: 50_000_000,
     };
-    cfg.faults = fault_plan_from(get("--faults"))?;
+    cfg.faults = fault_plan_from(args.get("--faults"))?;
     cfg.validate()
         .map_err(|e| CliError::Config(e.to_string()))?;
 
     let mut sys = HeteroSystem::new(cfg, &mix.cpu, Some(mix.game.clone()));
     let sub = sys.subscribe_run_events();
     sys.set_epoch_sampling(if epoch > 0 { Some(epoch) } else { None });
-    let mut json = match json_path.as_ref() {
+    let mut json = match json_path {
         Some(p) => Some(std::io::BufWriter::new(
             std::fs::File::create(p).map_err(|e| CliError::Io(format!("{p}: {e}")))?,
         )),

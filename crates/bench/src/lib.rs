@@ -94,11 +94,86 @@ pub fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, Cli
         .map_err(|_| CliError::Usage(format!("{flag} expects a number, got {value:?}")))
 }
 
+/// A bench binary's parsed command line: positional words, the switches
+/// present, and `--flag VALUE` pairs. Every flag must be declared, so a
+/// misspelled one is a usage error instead of a silently ignored word.
+#[derive(Debug, Default)]
+pub struct Args {
+    positional: Vec<String>,
+    switches: Vec<String>,
+    values: Vec<(String, String)>,
+}
+
+impl Args {
+    /// Parse the process arguments; see [`Args::parse`].
+    pub fn from_env(valued: &str, switches: &str) -> Result<Self, CliError> {
+        Self::parse(std::env::args().skip(1), valued, switches)
+    }
+
+    /// Parse `argv` (program name excluded) against the binary's `valued`
+    /// flags, which take the next word as their value, and its `switches`,
+    /// which take none (both whitespace-separated lists). Any other
+    /// `--word` is an unknown flag, and a valued flag with no word after
+    /// it is missing its value: both are [`CliError::Usage`].
+    pub fn parse(
+        argv: impl IntoIterator<Item = String>,
+        valued: &str,
+        switches: &str,
+    ) -> Result<Self, CliError> {
+        let declared = |list: &str, arg: &str| list.split_whitespace().any(|f| f == arg);
+        let mut out = Self::default();
+        let mut argv = argv.into_iter();
+        while let Some(arg) = argv.next() {
+            if declared(valued, &arg) {
+                let value = argv
+                    .next()
+                    .ok_or_else(|| CliError::Usage(format!("{arg} needs a value")))?;
+                out.values.push((arg, value));
+            } else if declared(switches, &arg) {
+                out.switches.push(arg);
+            } else if arg.starts_with("--") {
+                return Err(CliError::Usage(format!("unknown flag {arg:?}")));
+            } else {
+                out.positional.push(arg);
+            }
+        }
+        Ok(out)
+    }
+
+    /// The value of the first occurrence of a valued flag.
+    pub fn get(&self, flag: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .find(|(f, _)| f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// Was this switch given?
+    pub fn has(&self, switch: &str) -> bool {
+        self.switches.iter().any(|s| s == switch)
+    }
+
+    /// The non-flag words, in order.
+    pub fn positional(&self) -> &[String] {
+        &self.positional
+    }
+
+    /// A numeric flag's value, if given.
+    pub fn num_opt<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, CliError> {
+        self.get(flag).map(|v| parse_num(flag, v)).transpose()
+    }
+
+    /// A numeric flag's value, or `default` when absent.
+    pub fn num<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, CliError> {
+        Ok(self.num_opt(flag)?.unwrap_or(default))
+    }
+}
+
 /// Resolve the run's fault plan: an explicit `--faults SPEC` wins,
 /// otherwise the `GAT_FAULTS` environment variable, otherwise fault-free.
-pub fn fault_plan_from(cli_spec: Option<String>) -> Result<FaultPlan, CliError> {
+pub fn fault_plan_from(cli_spec: Option<&str>) -> Result<FaultPlan, CliError> {
     if let Some(spec) = cli_spec {
-        return FaultPlan::parse(&spec).map_err(|e| CliError::Config(format!("--faults: {e}")));
+        return FaultPlan::parse(spec).map_err(|e| CliError::Config(format!("--faults: {e}")));
     }
     FaultPlan::from_env()
         .map(|opt| opt.unwrap_or_default())
@@ -249,12 +324,60 @@ mod tests {
         assert!(gate.to_string().contains("performance gate"));
     }
 
+    fn parse(words: &[&str], valued: &str, switches: &str) -> Result<Args, CliError> {
+        Args::parse(words.iter().map(|w| w.to_string()), valued, switches)
+    }
+
+    fn usage_message(r: Result<Args, CliError>) -> String {
+        match r {
+            Err(CliError::Usage(m)) => m,
+            other => panic!("expected a usage error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn args_reject_an_unknown_flag() {
+        let m = usage_message(parse(&["--sceduler", "bogus"], "--sched", ""));
+        assert!(m.contains("unknown flag \"--sceduler\""), "{m}");
+    }
+
+    #[test]
+    fn args_tell_switches_from_valued_flags() {
+        let words = ["fig9", "--llc-lru", "--scale", "64", "--cpus", ""];
+        let a = parse(&words, "--scale --cpus", "--llc-lru --quick").unwrap();
+        assert!(a.has("--llc-lru") && !a.has("--quick"));
+        assert_eq!((a.get("--scale"), a.get("--cpus")), (Some("64"), Some("")));
+        assert_eq!(a.positional(), ["fig9"]);
+        assert_eq!(
+            (
+                a.num("--scale", 1u32).unwrap(),
+                a.num("--frames", 4u32).unwrap()
+            ),
+            (64, 4)
+        );
+        // A switch never swallows the next word.
+        assert_eq!(
+            parse(&["--llc-lru", "7"], "", "--llc-lru")
+                .unwrap()
+                .positional(),
+            ["7"]
+        );
+    }
+
+    #[test]
+    fn args_reject_a_missing_value() {
+        let m = usage_message(parse(&["--scale", "64", "--json"], "--scale --json", ""));
+        assert!(m.contains("--json needs a value"), "{m}");
+        let a = parse(&["--scale", "lots"], "--scale", "").unwrap();
+        assert!(matches!(a.num("--scale", 1u32), Err(CliError::Usage(_))));
+    }
+
     #[test]
     fn fault_plan_resolution_prefers_the_cli_spec() {
-        let p = fault_plan_from(Some("dram.bounce=0.5".into())).unwrap();
+        let p = fault_plan_from(Some("dram.bounce=0.5")).unwrap();
         assert_eq!(p.dram.bounce, 0.5);
         assert!(matches!(
-            fault_plan_from(Some("bogus=1".into())),
+            fault_plan_from(Some("bogus=1")),
             Err(CliError::Config(_))
         ));
         // No spec anywhere: fault-free.

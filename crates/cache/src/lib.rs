@@ -19,6 +19,11 @@
 //! samplers — and, importantly for the paper, to model the back-pressure
 //! that GPU access throttling exerts on the rendering pipeline.
 
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+#![warn(clippy::wildcard_enum_match_arm)]
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod cache;
 pub mod mshr;
 pub mod port;

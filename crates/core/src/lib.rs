@@ -24,6 +24,11 @@
 //! [`overhead::storage_overhead_bytes`] accounts for the "just over a
 //! kilobyte" claimed in §III-D and VII.
 
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+#![warn(clippy::wildcard_enum_match_arm)]
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod atu;
 pub mod controller;
 pub mod frpu;

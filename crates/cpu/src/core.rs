@@ -195,7 +195,7 @@ impl Core {
                     let done = match e.state {
                         EntryState::Done => true,
                         EntryState::Timed(at) => at <= now,
-                        _ => false,
+                        EntryState::WaitingAccess | EntryState::WaitingData => false,
                     };
                     if done {
                         self.rob.pop_front();

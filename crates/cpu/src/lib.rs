@@ -23,6 +23,11 @@
 //! into the profile's base IPC (SPEC codes have small instruction
 //! footprints).
 
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+#![warn(clippy::wildcard_enum_match_arm)]
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod core;
 pub mod hierarchy;
 pub mod profile;

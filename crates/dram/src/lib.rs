@@ -24,6 +24,11 @@
 //! penalties. Per-source byte counters feed the paper's bandwidth figures
 //! (Fig. 11).
 
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+#![warn(clippy::wildcard_enum_match_arm)]
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod channel;
 pub mod energy;
 pub mod mapping;

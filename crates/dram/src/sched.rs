@@ -297,6 +297,10 @@ pub struct Sms {
 }
 
 impl Sms {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "R3: config-time seeding of the SMS policy coin; stream is namespaced by fork label"
+    )]
     pub fn new(p_sjf: f64, seed: u64) -> Self {
         Self {
             p_sjf,
@@ -306,7 +310,6 @@ impl Sms {
             // Constructed once from the machine seed at config time; the
             // "sms" fork label keeps the policy coin's stream disjoint from
             // every other consumer of the same seed.
-            // gat-lint: allow(R3, "config-time seeding of the SMS policy coin; stream is namespaced by fork label")
             rng: SimRng::new(seed).fork("sms"),
             scratch_idxs: Vec::new(),
             scratch_batches: Vec::new(),

@@ -30,6 +30,11 @@
 //! to the Table II standalone frame rates; `gat-workloads` instantiates
 //! the fourteen titles.
 
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+#![warn(clippy::wildcard_enum_match_arm)]
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod caches;
 pub mod pipeline;
 pub mod workload;

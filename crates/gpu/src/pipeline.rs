@@ -523,7 +523,11 @@ impl GpuPipeline {
                             // emit stage.
                             g.tex_left = g.tex_left.saturating_sub(1);
                         }
-                        _ => {}
+                        GState::Free
+                        | GState::ReadyShade
+                        | GState::Shading(_)
+                        | GState::RopQueued
+                        | GState::WaitDepth => {}
                     }
                 }
             }

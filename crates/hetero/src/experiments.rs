@@ -40,6 +40,10 @@ pub struct ExpConfig {
 }
 
 impl Default for ExpConfig {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "R2: thread count tunes parallelism only; outputs are thread-count-invariant by test"
+    )]
     fn default() -> Self {
         Self {
             scale: 64,
@@ -54,7 +58,6 @@ impl Default for ExpConfig {
             // The worker count is ambient (machine-dependent) but cannot
             // leak into results: par_run pins result order by job index and
             // tests/determinism.rs compares threads=1 vs 8 byte-for-byte.
-            // gat-lint: allow(R2, "thread count tunes parallelism only; outputs are thread-count-invariant by test")
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
@@ -148,6 +151,10 @@ impl Proposal {
 /// Result order (and therefore every rendered table and JSONL export)
 /// must be independent of `threads`; `tests/determinism.rs` pins this
 /// at the byte level.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "R2: scoped worker pool; slot i holds job i's result, so completion order is unobservable"
+)]
 pub fn par_run<J, R>(jobs: Vec<J>, threads: usize, f: impl Fn(J) -> R + Sync) -> Vec<R>
 where
     J: Send,
@@ -165,7 +172,6 @@ where
         (0..n).map(|_| std::sync::Mutex::new(None)).collect();
     let next = std::sync::atomic::AtomicUsize::new(0);
     let f = &f;
-    // gat-lint: allow(R2, "scoped worker pool; slot i holds job i's result, so completion order is unobservable")
     std::thread::scope(|s| {
         for _ in 0..threads.min(n) {
             s.spawn(|| loop {
@@ -477,7 +483,7 @@ pub struct ThrottleEval {
 ///
 /// Keyed by `BTreeMap`, not a hash map: the map is only ever probed by
 /// spec id today, but a `BTreeMap` makes any future iteration ordered by
-/// construction, so the determinism contract (gat-lint rule R1) cannot be
+/// construction, so the determinism contract (rule R1) cannot be
 /// broken by a refactor that starts walking it.
 fn alone_ipcs(cfg: &ExpConfig, mixes: &[Mix]) -> (BTreeMap<u16, f64>, u64) {
     let mut ids: Vec<u16> = mixes

@@ -11,6 +11,11 @@
 //! * [`experiments`] — one driver per paper figure (Fig. 1–3, 8–14),
 //! * [`report`] — plain-text table rendering for the `figures` binary.
 
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+#![warn(clippy::wildcard_enum_match_arm)]
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod config;
 pub mod error;
 pub mod events;

@@ -7,6 +7,11 @@
 //! rendered its assigned frame sequence; early finishers keep running so
 //! contention stays realistic.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "R3: the system constructor owns the root RNG derived from the machine seed"
+)]
+
 use crate::config::{MachineConfig, QosMode};
 use crate::error::SimError;
 use crate::events::RunEvent;
@@ -209,8 +214,8 @@ impl HeteroSystem {
         });
         let qos_sub = qos.as_mut().map(|q| q.subscribe_events());
         let uncore = Uncore::new(&cfg);
-        // Environment knobs come only from the approved module (gat-lint
-        // rule R2): GAT_PARANOIA enables the per-tick invariant sweeps.
+        // Environment knobs come only from the approved module (rule
+        // R2): GAT_PARANOIA enables the per-tick invariant sweeps.
         let paranoia = gat_sim::knobs::paranoia();
         let frpu_jitter = cfg.faults.frpu_jitter;
         let frpu_rng = (frpu_jitter > 0.0).then(|| cfg.faults.rng_root(cfg.seed).fork("frpu"));
@@ -991,7 +996,9 @@ mod tests {
         // Frame boundaries ride the same stream the timeline binary uses.
         let fb = p.events.iter().find_map(|e| match e {
             RunEvent::FrameBoundary { fps, .. } => Some(*fps),
-            _ => None,
+            RunEvent::Qos { .. } | RunEvent::DramPrioFlip { .. } | RunEvent::EpochSnapshot(_) => {
+                None
+            }
         });
         assert!(fb.unwrap() > 0.0);
     }
@@ -1006,22 +1013,21 @@ mod tests {
         cfg.limits.watchdog = 50_000;
         let mut sys = HeteroSystem::new(cfg, &[], Some(game("NFS")));
         let err = sys.try_run().unwrap_err();
-        match err {
-            SimError::Wedged {
-                cycle,
-                window,
-                diagnostic,
-            } => {
-                assert_eq!(window, 50_000);
-                // Warm-up ends at 60_000; the first deadline after it
-                // finds no progress and trips.
-                assert_eq!(cycle, 110_000, "tripped at {cycle}");
-                assert!(diagnostic.contains("watchdog_dump"), "{diagnostic}");
-                for line in diagnostic.lines() {
-                    gat_sim::json::validate_json_line(line).unwrap();
-                }
-            }
-            other => panic!("expected Wedged, got {other}"),
+        let SimError::Wedged {
+            cycle,
+            window,
+            diagnostic,
+        } = &err
+        else {
+            panic!("expected Wedged, got {err}");
+        };
+        assert_eq!(*window, 50_000);
+        // Warm-up ends at 60_000; the first deadline after it finds no
+        // progress and trips.
+        assert_eq!(*cycle, 110_000, "tripped at {cycle}");
+        assert!(diagnostic.contains("watchdog_dump"), "{diagnostic}");
+        for line in diagnostic.lines() {
+            gat_sim::json::validate_json_line(line).unwrap();
         }
     }
 

@@ -228,23 +228,29 @@ impl Uncore {
         // installs nothing, so a clean run draws no extra random numbers.
         if !cfg.faults.is_none() {
             let froot = cfg.faults.rng_root(cfg.seed);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "R3: construction-time fork from the fault-plan root; one stream per channel"
+            )]
             if cfg.faults.dram.bounce > 0.0 {
                 for (i, ch) in channels.iter_mut().enumerate() {
                     ch.set_fault_injector(DelayInjector::new(
                         cfg.faults.dram.bounce,
                         cfg.faults.dram.backoff,
                         cfg.faults.dram.retries,
-                        // gat-lint: allow(R3, "construction-time fork from the fault-plan root; one stream per channel")
                         froot.fork(&format!("dram.ch{i}")),
                     ));
                 }
             }
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "R3: construction-time fork from the fault-plan root for the ring injector"
+            )]
             if cfg.faults.ring.drop > 0.0 {
                 ring.set_fault_injector(DelayInjector::new(
                     cfg.faults.ring.drop,
                     cfg.faults.ring.replay,
                     1,
-                    // gat-lint: allow(R3, "construction-time fork from the fault-plan root for the ring injector")
                     froot.fork("ring"),
                 ));
             }

@@ -54,8 +54,8 @@ pub struct Token {
 /// Grammar (inside a line comment):
 ///
 /// ```text
-/// // gat-lint: allow(R2, "why this ambient read is safe")
-/// // gat-lint: allow-file(R1, "why the whole file is exempt")
+/// // gat-lint: allow(R8, "why this allocation is off the hot path")
+/// // gat-lint: allow-file(R12, "why the whole file is exempt")
 /// ```
 ///
 /// `allow` suppresses matches of the named rule on the pragma's own line
@@ -69,9 +69,6 @@ pub struct Pragma {
     pub rule: String,
     pub reason: String,
     pub file_level: bool,
-    /// Set by the rule engine when the pragma suppresses a finding;
-    /// pragmas that suppress nothing are reported as errors.
-    pub used: bool,
 }
 
 /// Lexer output: the token stream, well-formed pragmas, and malformed
@@ -339,7 +336,6 @@ fn scan_comment_for_pragma(text: &str, line: u32, out: &mut Lexed) {
             rule,
             reason,
             file_level,
-            used: false,
         }),
         Err(problem) => out.malformed.push((line, problem)),
     }

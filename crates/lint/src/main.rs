@@ -1,7 +1,7 @@
-//! CLI for the workspace determinism linter.
+//! CLI for the workspace's project-specific source linter.
 //!
 //! ```text
-//! cargo run -p gat-lint [-- --json] [--root PATH] [--rules R11,R12] [--list-rules]
+//! cargo run -p gat-lint [-- --json] [--root PATH] [--rules R8,R12] [--list-rules]
 //! ```
 //!
 //! Walks `crates/*/src` under the workspace root (default: the current
@@ -10,7 +10,7 @@
 //! `--json`, the observability layer's JSONL grammar (`lint_finding`
 //! objects plus one `lint_summary` trailer).
 //!
-//! `--rules R11,R12` keeps only the named rules' findings (pragma
+//! `--rules R8,R12` keeps only the named rules' findings (pragma
 //! findings are always kept — a broken suppression comment is a problem
 //! regardless of which rules you asked about). `--list-rules` prints the
 //! catalog, one line per rule, and exits 0.
@@ -23,7 +23,7 @@ use gat_lint::RuleId;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: gat-lint [--json] [--root PATH] [--rules R1,R2,..] [--list-rules]";
+const USAGE: &str = "usage: gat-lint [--json] [--root PATH] [--rules R5,R8,..] [--list-rules]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -4,17 +4,10 @@ use gat_sim::json::Obj;
 
 /// The rule catalog. Ids are stable: they appear in pragmas, CI logs and
 /// the JSONL export, so renaming one is a breaking change to suppression
-/// comments across the tree.
+/// comments across the tree. Clippy enforces R1–R4, R9 and R11
+/// (`clippy.toml`, DESIGN.md §10), so those ids are not pragma names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    /// Unordered std hash collections in sim-state crates.
-    R1,
-    /// Ambient nondeterminism: wall clocks, threads, env reads, OS RNG.
-    R2,
-    /// `SimRng` construction/forking outside approved modules.
-    R3,
-    /// Direct stdout/stderr printing from library crates.
-    R4,
     /// NaN-unsafe float comparison patterns.
     R5,
     /// CLI flags / `GAT_*` knobs missing from the documentation.
@@ -26,17 +19,6 @@ pub enum RuleId {
     /// re-opens that per-cycle cost. Constructors (`fn new`) are exempt —
     /// setup-time allocation is the point of a pool.
     R8,
-    /// Panic-flow capture (`catch_unwind`, `panic::set_hook`,
-    /// `panic::take_hook`) outside the serve supervisor. The batch
-    /// engine's job isolation boundary is the one sanctioned place to
-    /// swallow a panic; anywhere else it converts an invariant violation
-    /// into silently-wrong simulator state.
-    R9,
-    /// Match-exhaustiveness drift: a `_` arm in a `match` over a guarded
-    /// enum (`SimError`, `JobOutcome`, `QosEvent`) inside library
-    /// crates. Wildcards silently swallow variants added by later PRs;
-    /// listing every variant makes the compiler flag each consumer.
-    R11,
     /// Unit confusion: one expression mixing `Cycle`-flavoured values
     /// with wall-clock milliseconds (`*_ms`, `Duration`) via `+ - < >`
     /// in sim crates. Cycles and milliseconds are both bare u64s, so the
@@ -50,15 +32,9 @@ pub enum RuleId {
 /// counts. `Pragma` is included — its findings appear in exports and CI
 /// logs like any other.
 pub const ALL_RULES: &[RuleId] = &[
-    RuleId::R1,
-    RuleId::R2,
-    RuleId::R3,
-    RuleId::R4,
     RuleId::R5,
     RuleId::R6,
     RuleId::R8,
-    RuleId::R9,
-    RuleId::R11,
     RuleId::R12,
     RuleId::Pragma,
 ];
@@ -66,15 +42,9 @@ pub const ALL_RULES: &[RuleId] = &[
 impl RuleId {
     pub fn as_str(self) -> &'static str {
         match self {
-            RuleId::R1 => "R1",
-            RuleId::R2 => "R2",
-            RuleId::R3 => "R3",
-            RuleId::R4 => "R4",
             RuleId::R5 => "R5",
             RuleId::R6 => "R6",
             RuleId::R8 => "R8",
-            RuleId::R9 => "R9",
-            RuleId::R11 => "R11",
             RuleId::R12 => "R12",
             RuleId::Pragma => "pragma",
         }
@@ -83,15 +53,9 @@ impl RuleId {
     /// One-line summary for `--list-rules` and the DESIGN.md catalog.
     pub fn summary(self) -> &'static str {
         match self {
-            RuleId::R1 => "no std HashMap/HashSet in sim-state crates",
-            RuleId::R2 => "no ambient nondeterminism (clocks, threads, env, OS RNG)",
-            RuleId::R3 => "SimRng construction/forking only in approved modules",
-            RuleId::R4 => "no direct stdout/stderr printing from library crates",
             RuleId::R5 => "no NaN-unsafe float comparisons",
             RuleId::R6 => "CLI flags and GAT_* knobs must be documented",
             RuleId::R8 => "no per-tick heap allocation in tick-path modules",
-            RuleId::R9 => "no panic capture outside the serve supervisor",
-            RuleId::R11 => "no `_` arms in matches over SimError/JobOutcome/QosEvent",
             RuleId::R12 => "no arithmetic mixing Cycle values with wall-clock milliseconds",
             RuleId::Pragma => "pragmas must be well-formed, known, and in active use",
         }
@@ -101,44 +65,17 @@ impl RuleId {
     /// are not suppressible (a suppression of the suppression checker
     /// would be a hole in the gate), so it has no pragma name.
     pub fn from_pragma_name(name: &str) -> Option<Self> {
-        match name {
-            "R1" => Some(RuleId::R1),
-            "R2" => Some(RuleId::R2),
-            "R3" => Some(RuleId::R3),
-            "R4" => Some(RuleId::R4),
-            "R5" => Some(RuleId::R5),
-            "R6" => Some(RuleId::R6),
-            "R8" => Some(RuleId::R8),
-            "R9" => Some(RuleId::R9),
-            "R11" => Some(RuleId::R11),
-            "R12" => Some(RuleId::R12),
-            _ => None,
-        }
+        let suppressible = ALL_RULES.iter().filter(|r| **r != RuleId::Pragma);
+        suppressible.copied().find(|r| r.as_str() == name)
     }
 
     /// One-line fix hint attached to every finding of this rule.
     pub fn hint(self) -> &'static str {
         match self {
-            RuleId::R1 => {
-                "use gat_sim::hashing::{FastMap, FastSet} (deterministic hasher) or BTreeMap/BTreeSet (ordered iteration)"
-            }
-            RuleId::R2 => {
-                "simulated behaviour may only depend on the config and the Cycle timeline; env knobs go through gat_sim::knobs"
-            }
-            RuleId::R3 => {
-                "accept a SimRng (or a fork) as a constructor argument; streams are created in config/fault-plan modules only"
-            }
-            RuleId::R4 => "emit through the events/metrics layer (gat_sim::events, gat_sim::metrics)",
             RuleId::R5 => "use f64::total_cmp for ordering, or guard the comparison against NaN explicitly",
             RuleId::R6 => "document the name, or remove the dead flag/knob",
             RuleId::R8 => {
                 "reuse a struct-owned scratch buffer or slab handle; allocation belongs in the constructor, not the tick"
-            }
-            RuleId::R9 => {
-                "let the panic propagate (or return a typed error); per-job isolation lives in gat-serve's supervisor"
-            }
-            RuleId::R11 => {
-                "list every variant explicitly so new variants are compile errors at each consumer, not silently swallowed"
             }
             RuleId::R12 => {
                 "convert at the boundary (cycles_per_ms) and keep each expression in one unit; rename the variable if it is not milliseconds"
@@ -215,26 +152,14 @@ mod tests {
     #[test]
     fn text_rendering_is_clickable_and_tagged() {
         let f = Finding {
-            rule: RuleId::R1,
+            rule: RuleId::R8,
             file: "crates/cache/src/mshr.rs".into(),
             line: 42,
-            message: "std HashMap".into(),
+            message: "per-tick heap allocation".into(),
         };
         let t = f.render_text();
-        assert!(t.starts_with("crates/cache/src/mshr.rs:42: R1: "));
+        assert!(t.starts_with("crates/cache/src/mshr.rs:42: R8: "));
         assert!(t.contains("hint: "));
-    }
-
-    #[test]
-    fn json_lines_validate() {
-        let f = Finding {
-            rule: RuleId::R6,
-            file: "crates/bench/src/bin/runsim.rs".into(),
-            line: 7,
-            message: "flag \"--weird\" not in README.md".into(),
-        };
-        validate_json_line(&f.to_json()).unwrap();
-        validate_json_line(&summary_json(3, &[f])).unwrap();
     }
 
     #[test]
@@ -249,7 +174,7 @@ mod tests {
             assert!(!r.summary().is_empty());
             assert!(!r.hint().is_empty());
         }
-        for retired in ["R7", "R10", "R13"] {
+        for retired in ["R1", "R2", "R3", "R4", "R7", "R9", "R10", "R11", "R13"] {
             assert_eq!(RuleId::from_pragma_name(retired), None);
         }
     }
@@ -265,6 +190,7 @@ mod tests {
         let s = summary_json(5, &[f.clone(), f]);
         validate_json_line(&s).unwrap();
         assert!(s.contains("\"R12\":2"), "{s}");
-        assert!(s.contains("\"R11\":0"), "{s}");
+        assert!(s.contains("\"R8\":0"), "{s}");
+        assert!(!s.contains("\"R11\""), "{s}");
     }
 }

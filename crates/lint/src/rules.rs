@@ -1,5 +1,4 @@
-//! The determinism rules (R1–R5), the tick-path allocation rule (R8),
-//! the panic-isolation rule (R9), the match-wildcard rule (R11) and the
+//! The NaN-ordering rule (R5), the tick-path allocation rule (R8) and the
 //! unit-mixing rule (R12) over one file's token stream, plus the raw
 //! material (flag and knob literals) for the cross-file rule R6.
 //!
@@ -7,9 +6,9 @@
 //! [`crate::lexer`]; spans are line-granular, which is enough for a
 //! clickable `file:line` and for line-scoped pragma suppression.
 //!
-//! Code under `#[test]` / `#[cfg(test)]` items is exempt from R1–R5:
+//! Code under `#[test]` / `#[cfg(test)]` items is exempt from every rule:
 //! the contract governs simulator state, and test harness code routinely
-//! (and harmlessly) builds private RNGs or scratch hash sets. The
+//! (and harmlessly) allocates scratch buffers or sorts floats. The
 //! golden/determinism suites verify the *outputs*; these rules police
 //! the inputs.
 
@@ -30,7 +29,7 @@ pub struct CheckedPragma {
 /// Everything the linter learned from one file.
 #[derive(Debug, Default)]
 pub struct FileLint {
-    /// R1–R5 findings surviving suppression, plus pragma-syntax errors.
+    /// Token-rule findings surviving suppression, plus pragma-syntax errors.
     pub findings: Vec<Finding>,
     /// Parsed pragmas with use-marks (the driver settles R6 suppression
     /// and then reports any still-unused pragma as an error).
@@ -82,22 +81,9 @@ pub fn lint_file(rel_path: &str, source: &str) -> FileLint {
 
     let mut raw: Vec<Finding> = Vec::new();
     if class == FileClass::SimLib {
-        check_r1_hash_collections(rel_path, toks, &in_test, &mut raw);
-        check_r2_ambient(rel_path, toks, &in_test, &mut raw);
-        check_r3_rng(rel_path, toks, &in_test, &mut raw);
-        check_r4_printing(rel_path, toks, &in_test, &mut raw);
         check_r5_nan(rel_path, toks, &in_test, &mut raw);
         check_r8_tick_alloc(rel_path, toks, &in_test, &mut raw);
         check_r12_unit_mix(rel_path, toks, &in_test, &mut raw);
-    }
-    // R9 runs for every scanned class — a stray catch_unwind in bench or
-    // serve code hides job corruption just as well as one in a sim crate.
-    check_r9_panic_capture(rel_path, toks, &in_test, &mut raw);
-    // R11 covers library code (sim and tool libs); bench *binaries* may
-    // wildcard freely — their match arms are CLI plumbing, and a missed
-    // variant there fails loudly at the terminal.
-    if matches!(class, FileClass::SimLib | FileClass::ToolLib) {
-        check_r11_match_wildcard(rel_path, toks, &in_test, &mut raw);
     }
     dedupe(&mut raw);
     let survived = suppress(raw, &mut out.pragmas);
@@ -250,132 +236,6 @@ fn push(raw: &mut Vec<Finding>, rule: RuleId, file: &str, line: u32, message: St
     });
 }
 
-/// R1: `HashMap`/`HashSet` anywhere in sim-state code. The names alone
-/// are the violation — even `std::collections::HashMap` spelled out with
-/// a deterministic-looking comment still iterates in hasher order.
-fn check_r1_hash_collections(file: &str, toks: &[Token], in_test: &[bool], raw: &mut Vec<Finding>) {
-    for (i, t) in toks.iter().enumerate() {
-        if in_test[i] {
-            continue;
-        }
-        if let Some(name @ ("HashMap" | "HashSet")) = ident_at(toks, i) {
-            push(
-                raw,
-                RuleId::R1,
-                file,
-                t.line,
-                format!("std {name} in sim-state code: iteration order is hasher-dependent"),
-            );
-        }
-    }
-}
-
-/// R2: wall clocks, spawned threads, environment reads and the OS RNG.
-fn check_r2_ambient(file: &str, toks: &[Token], in_test: &[bool], raw: &mut Vec<Finding>) {
-    let env_ok = policy::is_env_knob_module(file);
-    for (i, t) in toks.iter().enumerate() {
-        if in_test[i] {
-            continue;
-        }
-        match ident_at(toks, i) {
-            Some(name @ ("Instant" | "SystemTime")) => push(
-                raw,
-                RuleId::R2,
-                file,
-                t.line,
-                format!("wall-clock type {name} in sim-state code"),
-            ),
-            Some("thread_rng") => push(
-                raw,
-                RuleId::R2,
-                file,
-                t.line,
-                "ambient OS-seeded RNG (thread_rng)".into(),
-            ),
-            _ => {}
-        }
-        if path_step(toks, i, "std", "thread") {
-            push(
-                raw,
-                RuleId::R2,
-                file,
-                t.line,
-                "std::thread in sim-state code: scheduling order is ambient".into(),
-            );
-        }
-        if !env_ok
-            && (path_step(toks, i, "std", "env")
-                || (path_step(toks, i, "env", "var")
-                    || path_step(toks, i, "env", "var_os")
-                    || path_step(toks, i, "env", "vars")
-                    || path_step(toks, i, "env", "args")))
-        {
-            push(
-                raw,
-                RuleId::R2,
-                file,
-                t.line,
-                "environment read outside the approved knob module (gat_sim::knobs)".into(),
-            );
-        }
-    }
-}
-
-/// R3: `SimRng::new(..)` / `.fork(..)` outside approved modules.
-fn check_r3_rng(file: &str, toks: &[Token], in_test: &[bool], raw: &mut Vec<Finding>) {
-    if policy::is_rng_module(file) {
-        return;
-    }
-    for (i, t) in toks.iter().enumerate() {
-        if in_test[i] {
-            continue;
-        }
-        if path_step(toks, i, "SimRng", "new") {
-            push(
-                raw,
-                RuleId::R3,
-                file,
-                t.line,
-                "SimRng constructed outside approved config/fault-plan modules".into(),
-            );
-        }
-        if is_punct(toks, i, '.')
-            && ident_at(toks, i + 1) == Some("fork")
-            && is_punct(toks, i + 2, '(')
-        {
-            push(
-                raw,
-                RuleId::R3,
-                file,
-                t.line,
-                "RNG stream forked outside approved config/fault-plan modules".into(),
-            );
-        }
-    }
-}
-
-/// R4: direct terminal output from library code.
-fn check_r4_printing(file: &str, toks: &[Token], in_test: &[bool], raw: &mut Vec<Finding>) {
-    for (i, t) in toks.iter().enumerate() {
-        if in_test[i] {
-            continue;
-        }
-        if let Some(name @ ("println" | "print" | "eprintln" | "eprint" | "dbg")) =
-            ident_at(toks, i)
-        {
-            if is_punct(toks, i + 1, '!') {
-                push(
-                    raw,
-                    RuleId::R4,
-                    file,
-                    t.line,
-                    format!("{name}! in a library crate"),
-                );
-            }
-        }
-    }
-}
-
 /// R5: `partial_cmp(..).unwrap()` (panics on NaN) and float sorts built
 /// on `partial_cmp` (NaN makes the comparator non-total, and the
 /// resulting order is allocation-dependent).
@@ -475,136 +335,6 @@ fn check_r8_tick_alloc(file: &str, toks: &[Token], in_test: &[bool], raw: &mut V
                 format!("per-tick heap allocation ({what}) in a tick-path module"),
             );
         }
-    }
-}
-
-/// R9: panic-flow capture outside the approved isolation boundary
-/// (`policy::PANIC_ISOLATION_MODULES` — the serve supervisor). Matches
-/// the `catch_unwind` ident anywhere (free fn, `panic::catch_unwind`,
-/// future-style `.catch_unwind()`) plus `panic::set_hook` /
-/// `panic::take_hook` path steps. Test-gated code is exempt: harnesses
-/// legitimately observe panics (`#[should_panic]` machinery, proptest
-/// shrinking), and the contract polices shipped behaviour.
-fn check_r9_panic_capture(file: &str, toks: &[Token], in_test: &[bool], raw: &mut Vec<Finding>) {
-    if policy::is_panic_isolation_module(file) {
-        return;
-    }
-    for (i, t) in toks.iter().enumerate() {
-        if in_test[i] {
-            continue;
-        }
-        if ident_at(toks, i) == Some("catch_unwind") {
-            push(
-                raw,
-                RuleId::R9,
-                file,
-                t.line,
-                "catch_unwind outside the serve supervisor's isolation boundary".into(),
-            );
-        }
-        if path_step(toks, i, "panic", "set_hook") || path_step(toks, i, "panic", "take_hook") {
-            push(
-                raw,
-                RuleId::R9,
-                file,
-                t.line,
-                "panic hook manipulation outside the serve supervisor".into(),
-            );
-        }
-    }
-}
-
-/// R11: `_` arms in `match`es whose *patterns* name a guarded enum
-/// (`policy::GUARDED_ENUMS`). Guardedness is read off the arm patterns —
-/// `JobOutcome::Done => …` — not the scrutinee, whose type the linter
-/// cannot see; a match that never names a guarded enum in a pattern is
-/// left alone even if its arm bodies construct one.
-fn check_r11_match_wildcard(file: &str, toks: &[Token], in_test: &[bool], raw: &mut Vec<Finding>) {
-    let mut i = 0usize;
-    while i < toks.len() {
-        if in_test[i] || ident_at(toks, i) != Some("match") {
-            i += 1;
-            continue;
-        }
-        // The body is the first `{` after the scrutinee at bracket depth
-        // 0 (struct literals inside the scrutinee are parenthesized by
-        // rustfmt in match position, so depth-0 is the body in practice).
-        let mut k = i + 1;
-        let mut depth = 0i32;
-        let mut open = None;
-        while k < toks.len() {
-            match toks[k].tok {
-                Tok::Punct('(' | '[') => depth += 1,
-                Tok::Punct(')' | ']') => depth -= 1,
-                Tok::Punct('{') if depth <= 0 => {
-                    open = Some(k);
-                    break;
-                }
-                Tok::Punct(';') if depth <= 0 => break,
-                _ => {}
-            }
-            k += 1;
-        }
-        let Some(open) = open else {
-            i += 1;
-            continue;
-        };
-        let close = matching(toks, open, '{', '}').unwrap_or(toks.len().saturating_sub(1));
-        // Walk the arms: combined bracket depth starts at 1 inside the
-        // body; `=>` at depth 1 enters the arm value, `,` at depth 1 (or
-        // an arm block closing back to depth 1) returns to pattern
-        // position.
-        let mut d = 1i32;
-        let mut in_pattern = true;
-        let mut guarded = false;
-        let mut wildcards: Vec<u32> = Vec::new();
-        let mut k = open + 1;
-        while k < close {
-            match &toks[k].tok {
-                Tok::Punct('{' | '(' | '[') => d += 1,
-                Tok::Punct('}' | ')' | ']') => {
-                    d -= 1;
-                    if d == 1 {
-                        in_pattern = true;
-                    }
-                }
-                Tok::Punct('=') if d == 1 && is_punct(toks, k + 1, '>') => {
-                    if in_pattern
-                        && ident_at(toks, k - 1) == Some("_")
-                        && !is_punct(toks, k.wrapping_sub(2), ':')
-                    {
-                        wildcards.push(toks[k - 1].line);
-                    }
-                    in_pattern = false;
-                    k += 1; // consume the '>'
-                }
-                Tok::Punct(',') if d == 1 => in_pattern = true,
-                Tok::Ident(name)
-                    if in_pattern
-                        && policy::GUARDED_ENUMS.contains(&name.as_str())
-                        && is_punct(toks, k + 1, ':')
-                        && is_punct(toks, k + 2, ':') =>
-                {
-                    guarded = true;
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        if guarded {
-            for line in wildcards {
-                push(
-                    raw,
-                    RuleId::R11,
-                    file,
-                    line,
-                    "`_` arm in a match over a guarded enum (SimError/JobOutcome/QosEvent) \
-                     swallows variants added later"
-                        .into(),
-                );
-            }
-        }
-        i = open + 1; // nested matches inside arm bodies are scanned too
     }
 }
 
@@ -800,35 +530,6 @@ mod tests {
     const SIM_PATH: &str = "crates/cache/src/fixture.rs";
 
     #[test]
-    fn test_gated_code_is_exempt() {
-        let src = r#"
-            pub fn prod() {}
-            #[cfg(test)]
-            mod tests {
-                use std::collections::HashMap;
-                #[test]
-                fn t() {
-                    let _ = std::time::Instant::now();
-                }
-            }
-        "#;
-        let l = lint_file(SIM_PATH, src);
-        assert!(l.findings.is_empty(), "{:?}", l.findings);
-    }
-
-    #[test]
-    fn the_same_code_outside_tests_is_flagged() {
-        let src = r#"
-            use std::collections::HashMap;
-            pub fn prod() {
-                let _ = std::time::Instant::now();
-            }
-        "#;
-        let l = lint_file(SIM_PATH, src);
-        assert_eq!(rules_of(&l), vec!["R1", "R2"]);
-    }
-
-    #[test]
     fn flags_are_extracted_from_usage_strings_and_match_arms() {
         assert_eq!(
             extract_flags("usage: runsim [--scale N] [--gpu-ways K] -- --3d x--y"),
@@ -851,82 +552,15 @@ mod tests {
     #[test]
     fn pragma_on_preceding_line_suppresses_and_is_marked_used() {
         let src = "\
-// gat-lint: allow(R2, \"test fixture\")
-pub fn f() -> std::time::Instant { std::time::Instant::now() }
+// gat-lint: allow(R5, \"test fixture\")
+pub fn f(a: f64, b: f64) -> bool { a.partial_cmp(&b).unwrap().is_lt() }
 ";
         let l = lint_file(SIM_PATH, src);
         assert!(l.findings.is_empty(), "{:?}", l.findings);
         assert!(l.pragmas[0].used);
     }
 
-    #[test]
-    fn pragma_for_the_wrong_rule_does_not_suppress() {
-        let src = "\
-// gat-lint: allow(R1, \"wrong rule\")
-pub fn f() -> std::time::Instant { std::time::Instant::now() }
-";
-        let l = lint_file(SIM_PATH, src);
-        assert_eq!(rules_of(&l), vec!["R2"]);
-        assert!(!l.pragmas[0].used);
-    }
-
-    #[test]
-    fn unknown_rule_in_pragma_is_a_finding() {
-        let l = lint_file(SIM_PATH, "// gat-lint: allow(R42, \"nope\")\n");
-        assert_eq!(rules_of(&l), vec!["pragma"]);
-    }
-
     const TICK_PATH: &str = "crates/dram/src/channel.rs";
-
-    #[test]
-    fn r8_flags_each_allocation_form_on_the_tick_path() {
-        let src = r#"
-            pub fn tick(&mut self) {
-                let a: Vec<u64> = Vec::new();
-                let b = vec![0u8; 4];
-                let c = Box::new(7u64);
-                let d = a.iter().copied().collect::<Vec<_>>();
-            }
-        "#;
-        let l = lint_file(TICK_PATH, src);
-        assert_eq!(
-            rules_of(&l),
-            vec!["R8", "R8", "R8", "R8"],
-            "{:?}",
-            l.findings
-        );
-    }
-
-    #[test]
-    fn r8_is_scoped_to_tick_path_modules_only() {
-        let src =
-            "pub fn tick(&mut self) { let _ = Vec::<u64>::new(); let x: Vec<u64> = Vec::new(); }";
-        assert!(lint_file("crates/hetero/src/config.rs", src)
-            .findings
-            .is_empty());
-        assert_eq!(rules_of(&lint_file(TICK_PATH, src)), vec!["R8"]);
-    }
-
-    #[test]
-    fn r8_exempts_constructors_and_tests() {
-        let src = r#"
-            impl Pool {
-                pub fn new(n: usize) -> Self {
-                    Self { slots: vec![0; n], spill: Vec::new() }
-                }
-            }
-            #[cfg(test)]
-            mod tests {
-                #[test]
-                fn t() {
-                    let _ = Vec::<u64>::new();
-                    let _ = vec![1, 2, 3];
-                }
-            }
-        "#;
-        let l = lint_file(TICK_PATH, src);
-        assert!(l.findings.is_empty(), "{:?}", l.findings);
-    }
 
     #[test]
     fn r8_constructor_exemption_ends_with_the_body() {
@@ -937,85 +571,5 @@ pub fn f() -> std::time::Instant { std::time::Instant::now() }
         let l = lint_file(TICK_PATH, src);
         assert_eq!(rules_of(&l), vec!["R8"], "{:?}", l.findings);
         assert_eq!(l.findings[0].line, 3);
-    }
-
-    #[test]
-    fn r8_suppressible_with_a_reasoned_pragma() {
-        let src = "\
-// gat-lint: allow(R8, \"cold diagnostic path, runs once per dump\")
-pub fn dump(&self) -> Vec<u64> { self.q.iter().copied().collect::<Vec<_>>() }
-";
-        let l = lint_file(TICK_PATH, src);
-        assert!(l.findings.is_empty(), "{:?}", l.findings);
-        assert!(l.pragmas[0].used);
-    }
-
-    #[test]
-    fn r9_flags_panic_capture_in_every_scanned_class() {
-        let src = r#"
-            pub fn shield(f: impl FnOnce()) {
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-            }
-        "#;
-        for path in [
-            "crates/hetero/src/fixture.rs",
-            "crates/serve/src/pool.rs",
-            "crates/bench/src/bin/fixture.rs",
-        ] {
-            let l = lint_file(path, src);
-            assert!(
-                l.findings.iter().any(|f| f.rule == RuleId::R9),
-                "{path}: {:?}",
-                l.findings
-            );
-        }
-        let hooks = r#"
-            pub fn install() {
-                let prev = std::panic::take_hook();
-                std::panic::set_hook(Box::new(move |i| prev(i)));
-            }
-        "#;
-        let l = lint_file("crates/serve/src/pool.rs", hooks);
-        assert_eq!(
-            l.findings.iter().filter(|f| f.rule == RuleId::R9).count(),
-            2,
-            "{:?}",
-            l.findings
-        );
-    }
-
-    #[test]
-    fn r9_exempts_the_supervisor_and_test_code() {
-        let src = r#"
-            pub fn isolate(f: impl FnOnce()) {
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-                let prev = std::panic::take_hook();
-                std::panic::set_hook(Box::new(move |i| prev(i)));
-            }
-        "#;
-        let l = lint_file("crates/serve/src/supervisor.rs", src);
-        assert!(l.findings.is_empty(), "{:?}", l.findings);
-        let test_src = r#"
-            #[cfg(test)]
-            mod tests {
-                #[test]
-                fn observes_a_panic() {
-                    let _ = std::panic::catch_unwind(|| panic!("x"));
-                }
-            }
-        "#;
-        let l = lint_file("crates/hetero/src/fixture.rs", test_src);
-        assert!(l.findings.is_empty(), "{:?}", l.findings);
-    }
-
-    #[test]
-    fn r9_suppressible_with_a_reasoned_pragma() {
-        let src = "\
-// gat-lint: allow(R9, \"FFI boundary must not unwind\")
-pub fn guard(f: impl FnOnce()) { let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)); }
-";
-        let l = lint_file("crates/bench/src/lib.rs", src);
-        assert!(l.findings.is_empty(), "{:?}", l.findings);
-        assert!(l.pragmas[0].used);
     }
 }

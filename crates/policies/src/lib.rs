@@ -20,6 +20,11 @@
 //!
 //! CPU fills are never bypassed by any of these policies.
 
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+#![warn(clippy::wildcard_enum_match_arm)]
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
+
 /// What to do with a returning GPU read fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FillDecision {

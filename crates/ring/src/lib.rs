@@ -12,6 +12,11 @@
 //! (so heavy GPU fill traffic does add cycles), but not flit-level
 //! wormhole detail.
 
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+#![warn(clippy::wildcard_enum_match_arm)]
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
+
 use gat_sim::{faults::DelayInjector, stats::Counter, Cycle};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -24,6 +24,8 @@
 //! Healthy jobs' payload lines are byte-identical to what the one-shot
 //! `runsim --json` CLI writes for the equivalent flags.
 
+#![warn(clippy::disallowed_methods, clippy::wildcard_enum_match_arm)]
+
 pub mod cache;
 pub mod outcome;
 pub mod pool;

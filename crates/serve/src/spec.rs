@@ -346,7 +346,9 @@ fn apply_field(spec: &mut JobSpec, key: &str, value: &JsonValue) -> Result<(), S
                             .ok_or_else(|| "cpus array entries must be SPEC ids".to_string())
                     })
                     .collect::<Result<_, _>>()?,
-                _ => return Err("field \"cpus\" wants a string or array".into()),
+                JsonValue::Null | JsonValue::Bool(_) | JsonValue::Num(_) | JsonValue::Obj(_) => {
+                    return Err("field \"cpus\" wants a string or array".into())
+                }
             };
         }
         "sched" => spec.sched = str_of(value)?,

@@ -2,9 +2,9 @@
 //! bounded deterministic retry loop.
 //!
 //! This module is the **only** place in the workspace allowed to touch
-//! `std::panic` (`catch_unwind` / `set_hook` / `take_hook`) — gat-lint
-//! rule R9 enforces that. The rest of the engine treats a panicking job
-//! exactly like a wedging one: as data.
+//! `std::panic` (`catch_unwind` / `set_hook` / `take_hook`) — rule R9,
+//! enforced by clippy's `disallowed_methods`. The rest of the engine
+//! treats a panicking job exactly like a wedging one: as data.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -48,6 +48,10 @@ pub fn paranoia_dump_name(job_id: &str) -> String {
 /// Install the process panic hook that silences fixture-sentinel panics
 /// and delegates everything else to the previous hook. Idempotent; the
 /// supervisor calls it before the first `catch_unwind`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "R9: the per-job isolation boundary filters fixture panics out of the process hook"
+)]
 pub fn install_panic_filter() {
     static INSTALLED: OnceLock<()> = OnceLock::new();
     INSTALLED.get_or_init(|| {
@@ -117,6 +121,10 @@ pub fn run_job(spec: &JobSpec) -> JobResult {
             // one (a scope would block on join and defeat the deadline).
             let (tx, rx) = mpsc::channel();
             let owned = spec.clone();
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "R2: wall deadline needs a detached worker; the result is only read via the channel"
+            )]
             std::thread::spawn(move || {
                 let _ = tx.send(run_attempt_loop(&owned));
             });
@@ -176,6 +184,10 @@ fn retry_salt(base_seed: u64, attempt: u32) -> u64 {
 
 /// One attempt: resolve, build, run, classify — inside the panic
 /// isolation boundary. Returns `(outcome, payload, diagnostic)`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "R9: the per-job isolation boundary: a panicking job becomes a typed Panicked outcome"
+)]
 fn run_one_attempt(spec: &JobSpec, attempt: u32) -> (JobOutcome, Option<String>, Option<String>) {
     let id = spec.id.clone();
     let run = AssertUnwindSafe(|| -> (JobOutcome, Option<String>, Option<String>) {
@@ -290,12 +302,10 @@ mod tests {
         let spec = parse_spec_line(r#"{"game":"DOOM3","fixture":"panic","id":"boom"}"#, 1).unwrap();
         let r = run_job(&spec);
         assert_eq!(r.attempts, 1);
-        match r.outcome {
-            JobOutcome::Panicked { message } => {
-                assert!(message.starts_with(FIXTURE_SENTINEL), "{message}")
-            }
-            o => panic!("expected Panicked, got {o:?}"),
-        }
+        let JobOutcome::Panicked { message } = &r.outcome else {
+            panic!("expected Panicked, got {:?}", r.outcome);
+        };
+        assert!(message.starts_with(FIXTURE_SENTINEL), "{message}");
     }
 
     #[test]

@@ -30,6 +30,11 @@
 //! draws no random numbers, so a zero-fault run is byte-identical to a
 //! build without this module.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "R3: the fault plan owns the injector root stream and forks one per boundary"
+)]
+
 use crate::rng::SimRng;
 use crate::Cycle;
 

@@ -12,7 +12,11 @@
 // This module *is* the sanctioned wrapper rule R1 points everyone at:
 // FastMap/FastSet are std's tables with the deterministic hasher swapped
 // in, so the std names may appear here and nowhere else in sim crates.
-// gat-lint: allow-file(R1, "defines FastMap/FastSet over std's HashMap/HashSet with a deterministic hasher")
+#![expect(
+    clippy::disallowed_types,
+    reason = "R1: defines FastMap/FastSet over std's HashMap/HashSet with a deterministic hasher"
+)]
+
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -225,46 +225,38 @@ pub enum JsonValue {
 
 impl JsonValue {
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Num(s) => s.parse().ok(),
-            _ => None,
-        }
+        let JsonValue::Num(s) = self else { return None };
+        s.parse().ok()
     }
 
     pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            JsonValue::Num(s) => s.parse().ok(),
-            _ => None,
-        }
+        let JsonValue::Num(s) = self else { return None };
+        s.parse().ok()
     }
 
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(s) => s.parse().ok(),
-            _ => None,
-        }
+        let JsonValue::Num(s) = self else { return None };
+        s.parse().ok()
     }
 
     pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
+        let JsonValue::Str(s) = self else { return None };
+        Some(s)
     }
 
     pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
+        let JsonValue::Bool(b) = self else {
+            return None;
+        };
+        Some(*b)
     }
 
     /// Field lookup on an object value (first match, document order).
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
+        let JsonValue::Obj(fields) = self else {
+            return None;
+        };
+        fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 }
 
@@ -301,13 +293,13 @@ pub fn parse_json_value(text: &str) -> Result<JsonValue, JsonError> {
 /// Parse one JSONL line that must be a single object; returns its fields in
 /// document order. The job-spec grammar of `gat-serve` is built on this.
 pub fn parse_json_object(line: &str) -> Result<Vec<(String, JsonValue)>, JsonError> {
-    match parse_json_value(line)? {
-        JsonValue::Obj(fields) => Ok(fields),
-        _ => Err(JsonError {
+    let JsonValue::Obj(fields) = parse_json_value(line)? else {
+        return Err(JsonError {
             pos: 0,
             msg: "expected a JSON object".into(),
-        }),
-    }
+        });
+    };
+    Ok(fields)
 }
 
 /// Nesting bound for the reader: job specs are a couple of levels deep;
@@ -602,14 +594,13 @@ mod tests {
         assert_eq!(v.get("boost").unwrap().as_bool(), Some(true));
         assert_eq!(v.get("fps").unwrap().as_f64(), Some(58.5));
         assert_eq!(v.get("none"), Some(&JsonValue::Null));
-        match v.get("samples").unwrap() {
-            JsonValue::Arr(items) => {
-                assert_eq!(items.len(), 3);
-                assert_eq!(items[0].as_u64(), Some(1));
-                assert_eq!(items[2].as_str(), Some("x"));
-            }
-            other => panic!("expected array, got {other:?}"),
-        }
+        let samples = v.get("samples").unwrap();
+        let JsonValue::Arr(items) = samples else {
+            panic!("expected array, got {samples:?}");
+        };
+        assert_eq!(items.len(), 3);
+        assert_eq!(items[0].as_u64(), Some(1));
+        assert_eq!(items[2].as_str(), Some("x"));
     }
 
     #[test]

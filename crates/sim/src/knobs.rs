@@ -1,10 +1,11 @@
 //! The approved `GAT_*` environment-knob module.
 //!
-//! The determinism contract (DESIGN.md §10, enforced by `gat-lint` rule
-//! R2) forbids ambient-environment reads inside simulator crates: an
-//! `std::env::var` call buried in a component makes a run's behaviour
-//! depend on invisible process state, which is exactly the class of bug
-//! the byte-identical golden snapshots exist to catch. Every environment
+//! The determinism contract (DESIGN.md §10, rule R2, enforced by
+//! clippy's `disallowed_methods`) forbids ambient-environment reads
+//! inside simulator crates: an `std::env::var` call buried in a
+//! component makes a run's behaviour depend on invisible process state,
+//! which is exactly the class of bug the byte-identical golden snapshots
+//! exist to catch. Every environment
 //! knob the simulator honours therefore lives *here*, in one auditable
 //! module, and nowhere else:
 //!
@@ -17,6 +18,11 @@
 //! a run's configuration is fixed the moment the machine is built. Adding
 //! a knob means adding an accessor here *and* documenting it in DESIGN.md
 //! (gat-lint rule R6 cross-checks the literals against the docs).
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "R2: the one module allowed to read GAT_* environment knobs"
+)]
 
 /// True when boolean knob `name` is set to a non-empty value other than
 /// `"0"`. This is the shared on/off grammar for all `GAT_*` switches:

@@ -15,7 +15,14 @@
 //! Nothing in this crate knows about caches, DRAM or GPUs; it is the
 //! substrate under the substrates.
 
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+#![warn(clippy::wildcard_enum_match_arm)]
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod addr;
+#[cfg(test)]
+mod clippy_fixtures;
 pub mod clock;
 pub mod events;
 pub mod faults;

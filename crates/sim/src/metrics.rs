@@ -59,10 +59,10 @@ impl MetricsRegistry {
     /// (counter vs stat vs histogram) is a wiring bug and panics.
     pub fn counter(&mut self, key: &str) -> CounterId {
         if let Some(slot) = self.index.get(key) {
-            match *slot {
-                Slot::Counter(i) => return CounterId(i),
-                _ => panic!("metric key {key:?} already registered with a different kind"),
-            }
+            let Slot::Counter(i) = *slot else {
+                panic!("metric key {key:?} already registered with a different kind");
+            };
+            return CounterId(i);
         }
         let i = self.counters.len();
         self.counters.push(Counter::new());
@@ -73,10 +73,10 @@ impl MetricsRegistry {
     /// Register (or re-open) a running statistic under `key`.
     pub fn stat(&mut self, key: &str) -> StatId {
         if let Some(slot) = self.index.get(key) {
-            match *slot {
-                Slot::Stat(i) => return StatId(i),
-                _ => panic!("metric key {key:?} already registered with a different kind"),
-            }
+            let Slot::Stat(i) = *slot else {
+                panic!("metric key {key:?} already registered with a different kind");
+            };
+            return StatId(i);
         }
         let i = self.stats.len();
         self.stats.push(RunningStat::new());
@@ -87,10 +87,10 @@ impl MetricsRegistry {
     /// Register (or re-open) a log2 histogram under `key`.
     pub fn hist(&mut self, key: &str) -> HistId {
         if let Some(slot) = self.index.get(key) {
-            match *slot {
-                Slot::Hist(i) => return HistId(i),
-                _ => panic!("metric key {key:?} already registered with a different kind"),
-            }
+            let Slot::Hist(i) = *slot else {
+                panic!("metric key {key:?} already registered with a different kind");
+            };
+            return HistId(i);
         }
         let i = self.hists.len();
         self.hists.push(Log2Histogram::new());

@@ -12,6 +12,11 @@
 //! few nanoseconds per draw, which matters in the workload-generator inner
 //! loops.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "R3: the RNG itself: fork derives child streams through SimRng::new"
+)]
+
 /// SplitMix64 step; used for seeding and as a one-shot hash.
 #[inline]
 pub fn splitmix64(state: &mut u64) -> u64 {

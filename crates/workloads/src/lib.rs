@@ -9,6 +9,11 @@
 //!   one GPU application, the main evaluation) and W1–W14 (one CPU
 //!   application + one GPU application, the motivation study of §II).
 
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+#![warn(clippy::wildcard_enum_match_arm)]
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod games;
 pub mod mixes;
 pub mod spec;

@@ -1,12 +1,20 @@
-//! Fixture suite for the determinism linter (DESIGN.md §10): passing and
-//! failing cases per rule, the pragma machinery, and the capstone check
-//! that the real tree is lint-clean.
+//! Static-analysis suite (DESIGN.md §10). For gat-lint's rules (R5, R6,
+//! R8, R12): passing and failing cases per rule, the pragma machinery,
+//! and the capstone check that the real tree is lint-clean. For the rules
+//! clippy enforces (R1–R4, R9, R11): the wiring a plain `cargo test` can
+//! see — `clippy.toml` entries, crate-root opt-ins, and the sanctioned
+//! suppression sites. Whether clippy actually fires is pinned by the
+//! `expect` fixtures in `crates/sim/src/clippy_fixtures.rs`, which only
+//! `cargo clippy -- -D warnings` checks.
 //!
-//! Fixtures are linted fully in memory via [`gat_lint::lint_sources`], so
-//! the failing snippets never exist as workspace files (the linter would
-//! otherwise flag its own test data).
+//! gat-lint fixtures are linted fully in memory via
+//! [`gat_lint::lint_sources`], so the failing snippets never exist as
+//! workspace files (the linter would otherwise flag its own test data).
 
+use gat_lint::lexer::{lex, Tok};
+use gat_lint::policy::SIM_CRATES;
 use gat_lint::{lint_sources, lint_workspace, Finding, SourceFile};
+use std::path::Path;
 
 /// Lint one synthetic sim-state file against empty docs.
 fn lint_sim(src: &str) -> Vec<Finding> {
@@ -19,107 +27,6 @@ fn lint_sim(src: &str) -> Vec<Finding> {
 
 fn rules(findings: &[Finding]) -> Vec<&'static str> {
     findings.iter().map(|f| f.rule.as_str()).collect()
-}
-
-// --- R1: std hash collections -----------------------------------------
-
-#[test]
-fn r1_flags_std_hash_collections() {
-    // Same line + same rule dedupes to one actionable finding.
-    let f = lint_sim("use std::collections::{HashMap, HashSet};\n");
-    assert_eq!(rules(&f), vec!["R1"]);
-    assert_eq!(f[0].line, 1);
-    assert!(f[0].message.contains("HashMap"));
-
-    let f = lint_sim("pub struct S {\n    map: HashMap<u64, u64>,\n    set: HashSet<u64>,\n}\n");
-    assert_eq!(rules(&f), vec!["R1", "R1"]);
-    assert_eq!((f[0].line, f[1].line), (2, 3));
-}
-
-#[test]
-fn r1_passes_deterministic_maps() {
-    let f = lint_sim(
-        "use gat_sim::hashing::{FastMap, FastSet};\nuse std::collections::{BTreeMap, VecDeque};\npub fn f(m: &FastMap<u64, u32>, o: &BTreeMap<u64, u32>) {}\n",
-    );
-    assert!(f.is_empty(), "{f:?}");
-}
-
-// --- R2: ambient nondeterminism ---------------------------------------
-
-#[test]
-fn r2_flags_wall_clocks_threads_env_and_os_rng() {
-    let cases = [
-        "pub fn t() { let _ = std::time::Instant::now(); }",
-        "pub fn t() { let _ = std::time::SystemTime::now(); }",
-        "pub fn t() { std::thread::sleep(core::time::Duration::ZERO); }",
-        "pub fn t() { let _ = std::env::var(\"HOME\"); }",
-        "pub fn t() { let mut r = thread_rng(); }",
-    ];
-    for src in cases {
-        let f = lint_sim(src);
-        assert_eq!(rules(&f), vec!["R2"], "fixture: {src}");
-    }
-}
-
-#[test]
-fn r2_passes_cycle_timeline_code() {
-    let f = lint_sim("pub fn tick(now: u64, horizon: u64) -> u64 { now.min(horizon) + 1 }\n");
-    assert!(f.is_empty(), "{f:?}");
-}
-
-#[test]
-fn r2_allows_env_reads_in_the_knob_module_only() {
-    let knobs = SourceFile {
-        path: "crates/sim/src/knobs.rs".into(),
-        text: "pub fn k() -> bool { std::env::var_os(\"X\").is_some() }\n".into(),
-    };
-    assert!(lint_sources(std::slice::from_ref(&knobs), "", "").is_empty());
-    let elsewhere = SourceFile {
-        path: "crates/dram/src/knockoff.rs".into(),
-        ..knobs
-    };
-    assert_eq!(rules(&lint_sources(&[elsewhere], "", "")), vec!["R2"]);
-}
-
-// --- R3: RNG discipline ------------------------------------------------
-
-#[test]
-fn r3_flags_rng_construction_and_forking_outside_approved_modules() {
-    let f = lint_sim("pub fn f() { let r = SimRng::new(7); }");
-    assert_eq!(rules(&f), vec!["R3"]);
-    let f = lint_sim("pub fn f(root: &SimRng) { let _ = root.fork(\"mine\"); }");
-    assert_eq!(rules(&f), vec!["R3"]);
-}
-
-#[test]
-fn r3_passes_handed_in_streams_and_approved_modules() {
-    // Using a stream you were handed is the sanctioned pattern.
-    let f = lint_sim("pub fn f(rng: &mut SimRng) -> u64 { rng.next_u64() }\n");
-    assert!(f.is_empty(), "{f:?}");
-    // The system constructor owns the root RNG.
-    let sys = SourceFile {
-        path: "crates/hetero/src/system.rs".into(),
-        text: "pub fn root(seed: u64) -> SimRng { SimRng::new(seed).fork(\"gpu\") }\n".into(),
-    };
-    assert!(lint_sources(&[sys], "", "").is_empty());
-}
-
-// --- R4: printing from library code -----------------------------------
-
-#[test]
-fn r4_flags_direct_printing() {
-    let f = lint_sim("pub fn f() { println!(\"debug\"); eprintln!(\"oops\"); }");
-    assert_eq!(rules(&f), vec!["R4"]); // same line: deduped to one finding
-    let f = lint_sim("pub fn f(x: u32) -> u32 {\n    dbg!(x)\n}");
-    assert_eq!(rules(&f), vec!["R4"]);
-}
-
-#[test]
-fn r4_passes_writes_to_buffers() {
-    let f = lint_sim(
-        "use std::fmt::Write as _;\npub fn f(out: &mut String) { let _ = writeln!(out, \"row\"); }\n",
-    );
-    assert!(f.is_empty(), "{f:?}");
 }
 
 // --- R5: NaN-unsafe patterns ------------------------------------------
@@ -228,107 +135,6 @@ fn r6_passes_documented_names_with_word_boundaries() {
     assert!(f.is_empty(), "{f:?}");
 }
 
-// --- R9: panic capture outside the serve supervisor --------------------
-
-#[test]
-fn r9_flags_panic_capture_in_sim_tool_and_bin_code() {
-    // Unlike R1-R8, R9 applies to every scanned class: swallowing a panic
-    // anywhere but the job supervisor hides invariant violations.
-    let paths = [
-        "crates/cache/src/fixture.rs",     // sim-state library
-        "crates/serve/src/fixture.rs",     // tool library (the serve crate itself)
-        "crates/bench/src/bin/fixture.rs", // bench binary
-    ];
-    for path in paths {
-        let files = vec![SourceFile {
-            path: path.into(),
-            text: "pub fn f() { let _ = std::panic::catch_unwind(|| 1); }\n".into(),
-        }];
-        let f = lint_sources(&files, "", "");
-        assert_eq!(rules(&f), vec!["R9"], "fixture path: {path}");
-        assert!(f[0].message.contains("catch_unwind"), "{}", f[0].message);
-    }
-    // Hook manipulation is the other half of the rule: a stray set_hook
-    // can silence the supervisor's sentinel filtering for everyone.
-    let f = lint_sim("pub fn f() { std::panic::set_hook(Box::new(|_| {})); }");
-    assert_eq!(rules(&f), vec!["R9"]);
-    let f = lint_sim("pub fn f() { let _ = std::panic::take_hook(); }");
-    assert_eq!(rules(&f), vec!["R9"]);
-}
-
-#[test]
-fn r9_exempts_the_supervisor_tests_and_reasoned_pragmas() {
-    // The one sanctioned isolation site.
-    let sup = vec![SourceFile {
-        path: "crates/serve/src/supervisor.rs".into(),
-        text: "pub fn shield() { let _ = std::panic::catch_unwind(|| ()); }\n".into(),
-    }];
-    assert!(lint_sources(&sup, "", "").is_empty());
-    // Test harnesses legitimately observe panics.
-    let f = lint_sim(
-        "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { assert!(std::panic::catch_unwind(|| panic!()).is_err()); }\n}\n",
-    );
-    assert!(f.is_empty(), "{f:?}");
-    // Elsewhere, only a justified pragma lets one through.
-    let f = lint_sim(
-        "// gat-lint: allow(R9, \"FFI boundary must not unwind\")\npub fn guard() { let _ = std::panic::catch_unwind(|| ()); }\n",
-    );
-    assert!(f.is_empty(), "{f:?}");
-}
-
-// --- R11: match-exhaustiveness drift ------------------------------------
-
-#[test]
-fn r11_flags_wildcard_arms_over_guarded_enums() {
-    let f = lint_sim(
-        "pub fn f(o: JobOutcome) -> u32 {\n    match o {\n        JobOutcome::Done => 1,\n        _ => 0,\n    }\n}\n",
-    );
-    assert_eq!(rules(&f), vec!["R11"], "{f:?}");
-    assert_eq!(f[0].line, 4);
-    // Serve's library code is covered too (JobOutcome lives there).
-    let files = vec![SourceFile {
-        path: "crates/serve/src/sink.rs".into(),
-        text: "pub fn g(e: SimError) -> bool {\n    matches(e)\n}\nfn matches(e: SimError) -> bool {\n    match e { SimError::Wedged { .. } => true, _ => false }\n}\n".into(),
-    }];
-    let f = lint_sources(&files, "", "");
-    assert_eq!(rules(&f), vec!["R11"], "{f:?}");
-}
-
-#[test]
-fn r11_passes_exhaustive_matches_and_unguarded_enums() {
-    // Every variant listed: nothing to flag.
-    let f = lint_sim(
-        "pub fn f(o: JobOutcome) -> u32 {\n    match o {\n        JobOutcome::Done => 1,\n        JobOutcome::Panicked => 2,\n    }\n}\n",
-    );
-    assert!(f.is_empty(), "{f:?}");
-    // `_` over a non-guarded enum is fine.
-    let f = lint_sim(
-        "pub fn f(x: Option<u32>) -> u32 {\n    match x {\n        Some(v) => v,\n        _ => 0,\n    }\n}\n",
-    );
-    assert!(f.is_empty(), "{f:?}");
-    // Bench binaries may wildcard (CLI plumbing fails loudly).
-    let files = vec![SourceFile {
-        path: "crates/bench/src/bin/fixture.rs".into(),
-        text: "fn main() {\n    match outcome() {\n        JobOutcome::Done => {}\n        _ => {}\n    }\n}\n".into(),
-    }];
-    assert!(lint_sources(&files, "", "").is_empty());
-}
-
-#[test]
-fn r11_sees_nested_matches_and_binding_arms() {
-    // The wildcard lives in a match nested inside an arm body.
-    let f = lint_sim(
-        "pub fn f(a: Option<u32>, e: QosEvent) -> u32 {\n    match a {\n        Some(_) => match e {\n            QosEvent::Throttle => 1,\n            _ => 2,\n        },\n        None => 0,\n    }\n}\n",
-    );
-    assert_eq!(rules(&f), vec!["R11"], "{f:?}");
-    // A named binding (`other => ..`) is not a `_` wildcard: rebinding is
-    // visible in review; silent discard is what drifts.
-    let f = lint_sim(
-        "pub fn f(e: QosEvent) -> u32 {\n    match e {\n        QosEvent::Throttle => 1,\n        other => tag(other),\n    }\n}\n",
-    );
-    assert!(f.is_empty(), "{f:?}");
-}
-
 // --- R12: cycle/millisecond unit confusion ------------------------------
 
 #[test]
@@ -362,35 +168,304 @@ fn r12_passes_single_unit_code_and_conversions() {
     assert!(f.is_empty(), "{f:?}");
 }
 
-// --- Pragma census -----------------------------------------------------
+// --- R1–R4, R9, R11: clippy's half --------------------------------------
 
-/// The audited inventory of suppression pragmas in the scanned tree. A
-/// new pragma (or a deleted one) must update this count *and* survive the
-/// capstone's unused-pragma check — so a stale exemption cannot slip in
-/// quietly, and neither can an unreviewed new one. Any other `gat-lint:`
-/// comment (a marker grammar the lexer no longer knows) counts as
-/// malformed, and the census expects none.
+/// The restriction lints the sim crates opt in to at their crate roots.
+const OPT_IN_LINTS: [&str; 5] = [
+    "disallowed_types",
+    "disallowed_methods",
+    "print_stdout",
+    "print_stderr",
+    "wildcard_enum_match_arm",
+];
+
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+fn read(rel: &str) -> String {
+    std::fs::read_to_string(root().join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
+}
+
+/// The `clippy.toml` paths whose `reason` cites rule `rule`.
+fn configured(rule: &str) -> Vec<String> {
+    let tag = format!("reason = \"{rule}: ");
+    read("clippy.toml")
+        .lines()
+        .filter(|l| l.contains(&tag))
+        .filter_map(|l| Some(l.split_once("path = \"")?.1.split_once('"')?.0.to_string()))
+        .collect()
+}
+
+/// One `#[..]`/`#![..]` attribute naming a clippy opt-in lint.
+#[derive(Debug)]
+struct LintAttr {
+    /// `file:line`, or `file (module)` for an inner attribute.
+    site: String,
+    inner: bool,
+    /// Every identifier inside the brackets, in order.
+    idents: Vec<String>,
+    reason: Option<String>,
+}
+
+impl LintAttr {
+    fn names(&self, lint: &str) -> bool {
+        self.idents
+            .windows(2)
+            .any(|w| w[0] == "clippy" && w[1] == lint)
+    }
+
+    /// The rule id a production suppression cites (`reason = "R3: …"`).
+    fn rule(&self) -> Option<&str> {
+        Some(self.reason.as_deref()?.split_once(": ")?.0)
+    }
+}
+
+/// The [`OPT_IN_LINTS`] attributes in one workspace file.
+fn lint_attrs(rel: &str) -> Vec<LintAttr> {
+    let toks = lex(&read(rel)).tokens;
+    let punct =
+        |i: usize, c: char| matches!(toks.get(i).map(|t| &t.tok), Some(Tok::Punct(p)) if *p == c);
+    let mut out = Vec::new();
+    for i in (0..toks.len()).filter(|&i| punct(i, '#')) {
+        let inner = punct(i + 1, '!');
+        let open = i + 1 + usize::from(inner);
+        if !punct(open, '[') {
+            continue;
+        }
+        let (mut depth, mut idents, mut reason) = (0, Vec::new(), None);
+        for t in &toks[open..] {
+            match &t.tok {
+                Tok::Punct('[') => depth += 1,
+                Tok::Punct(']') => depth -= 1,
+                Tok::Ident(s) => idents.push(s.clone()),
+                Tok::Str(s) if idents.last().is_some_and(|l| l == "reason") => {
+                    reason = Some(s.clone())
+                }
+                _ => {}
+            }
+            if depth == 0 {
+                break;
+            }
+        }
+        let site = if inner {
+            format!("{rel} (module)")
+        } else {
+            format!("{rel}:{}", toks[i].line)
+        };
+        let attr = LintAttr {
+            site,
+            inner,
+            idents,
+            reason,
+        };
+        if OPT_IN_LINTS.iter().any(|l| attr.names(l)) {
+            out.push(attr);
+        }
+    }
+    out
+}
+
+fn rs_files(dir: &str) -> Vec<String> {
+    gat_lint::rs_files(root(), dir).unwrap_or_else(|e| panic!("{dir}: {e}"))
+}
+
+/// Every attribute in `crates/*/src` that lowers an [`OPT_IN_LINTS`] lint.
+fn suppressions() -> Vec<LintAttr> {
+    let in_src = |rel: &String| rel.split('/').nth(2) == Some("src");
+    let files = rs_files("crates").into_iter().filter(in_src);
+    files
+        .flat_map(|rel| lint_attrs(&rel))
+        .filter(|a| a.idents[0] != "warn")
+        .collect()
+}
+
+/// Production suppression sites citing rule `rule`, file-sorted (line
+/// numbers dropped, so unrelated edits do not churn the lists below).
+fn sanctioned(rule: &str) -> Vec<String> {
+    let mut sites: Vec<String> = suppressions()
+        .into_iter()
+        .filter(|a| a.rule() == Some(rule))
+        .map(|a| a.site.split(':').next().unwrap().to_string())
+        .collect();
+    sites.sort();
+    sites
+}
+
+fn assert_opted_in(rel: &str, lints: &[&str]) {
+    let attrs = lint_attrs(rel);
+    for lint in lints {
+        let warns = |a: &LintAttr| a.inner && a.idents[0] == "warn" && a.names(lint);
+        assert!(
+            attrs.iter().any(warns),
+            "{rel} must opt in: #![warn(clippy::{lint})]"
+        );
+    }
+}
+
+fn sim_libs() -> Vec<String> {
+    let mut libs: Vec<String> = SIM_CRATES
+        .iter()
+        .map(|k| format!("crates/{k}/src/lib.rs"))
+        .collect();
+    libs.sort();
+    libs
+}
+
+#[test]
+fn r1_flags_std_hash_collections() {
+    assert_eq!(
+        configured("R1"),
+        ["std::collections::HashMap", "std::collections::HashSet"]
+    );
+}
+
+#[test]
+fn r1_passes_deterministic_maps() {
+    // The one sanctioned std-hash site is the module defining FastMap/FastSet.
+    assert_eq!(sanctioned("R1"), ["crates/sim/src/hashing.rs (module)"]);
+}
+
+#[test]
+fn r2_flags_wall_clocks_threads_env_and_os_rng() {
+    // `thread_rng` has no entry: `rand` is not a dependency.
+    assert_eq!(
+        configured("R2"),
+        [
+            "std::time::Instant",
+            "std::time::SystemTime",
+            "std::env::var",
+            "std::env::var_os",
+            "std::env::vars",
+            "std::thread::spawn",
+            "std::thread::scope",
+            "std::thread::sleep",
+            "std::thread::available_parallelism",
+        ]
+    );
+}
+
+#[test]
+fn r2_allows_env_reads_in_the_knob_module_only() {
+    // knobs.rs is the only module-wide R2 exemption; the rest are single
+    // items: the worker pools and the wall-deadline thread.
+    assert_eq!(
+        sanctioned("R2"),
+        [
+            "crates/hetero/src/experiments.rs",
+            "crates/hetero/src/experiments.rs",
+            "crates/serve/src/pool.rs",
+            "crates/serve/src/supervisor.rs",
+            "crates/sim/src/knobs.rs (module)",
+        ]
+    );
+}
+
+#[test]
+fn r3_flags_rng_construction_and_forking_outside_approved_modules() {
+    assert_eq!(
+        configured("R3"),
+        ["gat_sim::rng::SimRng::new", "gat_sim::rng::SimRng::fork"]
+    );
+}
+
+#[test]
+fn r3_passes_handed_in_streams_and_approved_modules() {
+    assert_eq!(
+        sanctioned("R3"),
+        [
+            "crates/dram/src/sched.rs",
+            "crates/hetero/src/system.rs (module)",
+            "crates/hetero/src/uncore.rs",
+            "crates/hetero/src/uncore.rs",
+            "crates/sim/src/faults.rs (module)",
+            "crates/sim/src/rng.rs (module)",
+        ]
+    );
+}
+
+#[test]
+fn r4_flags_direct_printing() {
+    for lib in sim_libs() {
+        assert_opted_in(&lib, &["print_stdout", "print_stderr"]);
+    }
+    // `dbg!` is denied workspace-wide, not just in the sim crates.
+    assert!(read("Cargo.toml").contains("dbg_macro = \"deny\""));
+}
+
+#[test]
+fn r4_passes_writes_to_buffers() {
+    // Sim crates emit through the events/metrics layer and `write!` into
+    // buffers: no site needs to print, so none suppresses R4.
+    assert!(sanctioned("R4").is_empty());
+}
+
+#[test]
+fn r9_flags_panic_capture_in_sim_tool_and_bin_code() {
+    let hooks = [
+        "std::panic::catch_unwind",
+        "std::panic::set_hook",
+        "std::panic::take_hook",
+    ];
+    assert_eq!(configured("R9"), hooks);
+    let mut roots = rs_files("crates/bench/src/bin");
+    assert!(roots.len() >= 7, "bench bins not found: {roots:?}");
+    roots.push("crates/serve/src/lib.rs".into());
+    for rel in roots {
+        assert_opted_in(&rel, &["disallowed_methods"]);
+    }
+}
+
+#[test]
+fn r9_exempts_the_supervisor_tests_and_reasoned_pragmas() {
+    let supervisor = "crates/serve/src/supervisor.rs";
+    assert_eq!(sanctioned("R9"), [supervisor, supervisor]);
+}
+
+#[test]
+fn r11_flags_wildcard_arms_over_guarded_enums() {
+    let mut roots = sim_libs();
+    roots.push("crates/serve/src/lib.rs".into());
+    for rel in roots {
+        assert_opted_in(&rel, &["wildcard_enum_match_arm"]);
+    }
+}
+
+#[test]
+fn r11_passes_exhaustive_matches_and_unguarded_enums() {
+    // Every match in the opted-in crates lists its variants: outside the
+    // fixtures, nothing lowers the lint, with or without a reason.
+    let wildcards: Vec<String> = suppressions()
+        .into_iter()
+        .filter(|a| a.names("wildcard_enum_match_arm") && a.rule() != Some("fixture"))
+        .map(|a| a.site)
+        .collect();
+    assert!(wildcards.is_empty(), "{wildcards:?}");
+}
+
+// --- Suppression census --------------------------------------------------
+
+/// The audited inventory of suppressions. gat-lint pragmas: a new one (or
+/// a deleted one) must update the count *and* survive the capstone's
+/// unused-pragma check; any other `gat-lint:` comment counts as
+/// malformed. Clippy suppressions of the opt-in lints: each must be an
+/// `expect` — which `-D warnings` rejects once it suppresses nothing —
+/// whose reason cites its rule id or marks a fixture. The one `allow` is
+/// each sim crate's test exemption, and each sim crate must carry its
+/// opt-in lines, since an item-level `expect` passes without them.
 #[test]
 fn pragma_census_matches_the_audited_inventory() {
-    const EXPECTED_PRAGMAS: usize = 8;
+    const EXPECTED_PRAGMAS: usize = 2;
+    const EXPECTED_CLIPPY_EXPECTS: usize = 14;
+    const EXPECTED_CLIPPY_FIXTURES: usize = 19;
 
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut paths = Vec::new();
-    collect_rs(&root.join("crates"), &mut paths);
-    paths.sort();
     let mut pragmas: Vec<String> = Vec::new();
     let mut malformed: Vec<String> = Vec::new();
-    for p in &paths {
-        let rel = p
-            .strip_prefix(root)
-            .unwrap()
-            .to_string_lossy()
-            .replace('\\', "/");
+    for rel in rs_files("crates") {
         if gat_lint::policy::classify(&rel) == gat_lint::policy::FileClass::Skip {
             continue;
         }
-        let text = std::fs::read_to_string(p).unwrap();
-        let lexed = gat_lint::lexer::lex(&text);
+        let lexed = lex(&read(&rel));
         for pr in &lexed.pragmas {
             pragmas.push(format!("{rel}:{} allow({})", pr.line, pr.rule));
         }
@@ -405,23 +480,53 @@ fn pragma_census_matches_the_audited_inventory() {
         pragmas.join("\n")
     );
     assert!(
+        pragmas.iter().all(|p| p.ends_with("allow(R8)")),
+        "{pragmas:?}"
+    );
+    assert!(
         malformed.is_empty(),
         "gat-lint comments that are not pragmas:\n{}",
         malformed.join("\n")
     );
-}
 
-fn collect_rs(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.is_dir() {
-            collect_rs(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
+    let test_exemption = "cfg_attr test allow clippy disallowed_types clippy disallowed_methods";
+    let (mut expects, mut fixtures, mut exempt) = (Vec::new(), 0, Vec::new());
+    for a in suppressions() {
+        let site = &a.site;
+        if a.idents.join(" ") == test_exemption && site.ends_with("/src/lib.rs (module)") {
+            exempt.push(site.trim_end_matches(" (module)").to_string());
+            continue;
         }
+        assert_eq!(
+            a.idents[0], "expect",
+            "{site}: suppress with #[expect(.., reason = \"..\")]"
+        );
+        match a.rule() {
+            Some("fixture") => fixtures += 1,
+            Some(rule @ ("R1" | "R2" | "R3" | "R4" | "R9" | "R11")) => {
+                expects.push(format!("{site} {rule}"))
+            }
+            _ => panic!("{site}: the reason must cite its rule id, as in \"R2: why\""),
+        }
+    }
+    assert_eq!(
+        expects.len(),
+        EXPECTED_CLIPPY_EXPECTS,
+        "clippy suppression inventory drifted — re-audit and update the census:\n{}",
+        expects.join("\n")
+    );
+    assert_eq!(
+        fixtures, EXPECTED_CLIPPY_FIXTURES,
+        "clippy fixture count drifted"
+    );
+    exempt.sort();
+    assert_eq!(
+        exempt,
+        sim_libs(),
+        "one test exemption per sim crate, at its root"
+    );
+    for lib in sim_libs() {
+        assert_opted_in(&lib, &OPT_IN_LINTS);
     }
 }
 
@@ -430,7 +535,7 @@ fn collect_rs(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
 #[test]
 fn pragma_suppresses_the_named_rule_on_the_next_line() {
     let f = lint_sim(
-        "// gat-lint: allow(R3, \"fixture justification\")\npub fn f() { let r = SimRng::new(7); }\n",
+        "// gat-lint: allow(R5, \"fixture justification\")\npub fn f(a: f64, b: f64) -> bool { a.partial_cmp(&b).unwrap().is_lt() }\n",
     );
     assert!(f.is_empty(), "{f:?}");
 }
@@ -438,7 +543,7 @@ fn pragma_suppresses_the_named_rule_on_the_next_line() {
 #[test]
 fn file_level_pragma_covers_the_whole_file() {
     let f = lint_sim(
-        "// gat-lint: allow-file(R1, \"fixture justification\")\nuse std::collections::HashMap;\npub struct S { m: HashMap<u64, u64> }\n",
+        "// gat-lint: allow-file(R12, \"fixture justification\")\npub fn a(t_cycles: u64, t_ms: u64) -> u64 { t_cycles + t_ms }\npub fn b(t_cycles: u64, t_ms: u64) -> bool { t_cycles < t_ms }\n",
     );
     assert!(f.is_empty(), "{f:?}");
 }
@@ -446,16 +551,16 @@ fn file_level_pragma_covers_the_whole_file() {
 #[test]
 fn pragma_does_not_suppress_other_rules() {
     let f = lint_sim(
-        "// gat-lint: allow(R1, \"wrong rule\")\npub fn f() { let r = SimRng::new(7); }\n",
+        "// gat-lint: allow(R12, \"wrong rule\")\npub fn f(a: f64, b: f64) -> bool { a.partial_cmp(&b).unwrap().is_lt() }\n",
     );
-    // The R3 finding survives AND the pragma is reported unused
+    // The R5 finding survives AND the pragma is reported unused
     // (findings sort by line: the pragma sits on line 1).
-    assert_eq!(rules(&f), vec!["pragma", "R3"]);
+    assert_eq!(rules(&f), vec!["pragma", "R5"]);
 }
 
 #[test]
 fn unused_pragma_is_an_error() {
-    let f = lint_sim("// gat-lint: allow(R2, \"stale after refactor\")\npub fn clean() {}\n");
+    let f = lint_sim("// gat-lint: allow(R8, \"stale after refactor\")\npub fn clean() {}\n");
     assert_eq!(rules(&f), vec!["pragma"]);
     assert!(f[0].message.contains("unused"));
     assert!(f[0].message.contains("stale after refactor"));
@@ -463,31 +568,34 @@ fn unused_pragma_is_an_error() {
 
 #[test]
 fn malformed_pragmas_are_errors_not_silence() {
-    // Missing reason, and an unknown rule id.
-    let f = lint_sim("// gat-lint: allow(R2)\n// gat-lint: allow(R99, \"who\")\npub fn g() {}\n");
-    assert_eq!(rules(&f), vec!["pragma", "pragma"]);
+    // Missing reason, an unknown rule id, and a rule clippy now owns.
+    let f = lint_sim(
+        "// gat-lint: allow(R5)\n// gat-lint: allow(R99, \"who\")\n// gat-lint: allow(R1, \"moved to clippy\")\npub fn g() {}\n",
+    );
+    assert_eq!(rules(&f), vec!["pragma", "pragma", "pragma"]);
 }
 
 #[test]
-fn test_gated_code_is_exempt_from_r1_to_r5() {
-    let f = lint_sim(
-        r#"
+fn test_gated_code_is_exempt_from_r5_r8_r12() {
+    let files = vec![SourceFile {
+        path: "crates/dram/src/channel.rs".into(),
+        text: r#"
 pub fn prod(now: u64) -> u64 { now + 1 }
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
-
     #[test]
     fn harness_scaffolding_is_fine() {
-        let mut m = HashMap::new();
-        m.insert(1u64, std::time::Instant::now());
-        let r = SimRng::new(42).fork("test");
-        println!("{:?}", (m.len(), r));
+        let mut v = vec![0.5f64, 0.25];
+        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let (deadline_cycles, budget_ms) = (10u64, 2u64);
+        assert!(deadline_cycles > budget_ms);
     }
 }
-"#,
-    );
+"#
+        .into(),
+    }];
+    let f = lint_sources(&files, "", "");
     assert!(f.is_empty(), "{f:?}");
 }
 
@@ -495,8 +603,7 @@ mod tests {
 
 #[test]
 fn workspace_is_lint_clean() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let (files, findings) = lint_workspace(root).expect("workspace scan");
+    let (files, findings) = lint_workspace(root()).expect("workspace scan");
     assert!(
         files > 50,
         "scan looks truncated: only {files} files — path wiring broken?"
@@ -511,8 +618,8 @@ fn workspace_is_lint_clean() {
 
 #[test]
 fn findings_export_valid_jsonl() {
-    let f = lint_sim("use std::collections::HashMap;\n");
-    assert_eq!(f.len(), 1);
+    let f = lint_sim("pub fn f(t_cycles: u64, t_ms: u64) -> u64 { t_cycles + t_ms }\n");
+    assert_eq!(rules(&f), vec!["R12"]);
     gat_sim::json::validate_json_line(&f[0].to_json()).unwrap();
     gat_sim::json::validate_json_line(&gat_lint::summary_json(1, &f)).unwrap();
 }
