@@ -128,6 +128,28 @@ echo "== paranoia invariant sweep (10 min cap) =="
 # MSHR/ATU/queue/epoch invariants and the bytes must not change.
 timeout 600 env GAT_PARANOIA=1 cargo test -q --release --test golden_snapshot
 
+echo "== benchmark byte identity (10 min cap) =="
+# One short pass of the repository benchmark at its default seed. Each
+# workload's result digest must match the digest the benchmark pins, and
+# every job must succeed, so a change that claims to be speed-only
+# cannot move a simulated byte (benchmark/README.md).
+set +e
+bench_out=$(timeout 600 cargo run --release -q --offline \
+    --manifest-path benchmark/Cargo.toml -- run --seconds 1)
+bench_code=$?
+set -e
+echo "$bench_out" | grep -F '"type":"bench_run"' || true
+bench_matches=$(grep -cF '"digest_check":"match"' <<<"$bench_out" || true)
+bench_results=$(grep -c '"correct":' <<<"$bench_out" || true)
+bench_correct=$(grep -cF '"correct":true' <<<"$bench_out" || true)
+if [[ $bench_code -ne 0 || $bench_matches -ne 4 || $bench_results -ne 4 ||
+      $bench_correct -ne 4 ]]; then
+    echo "benchmark byte identity: exit $bench_code, $bench_matches/4 digests match," \
+        "$bench_correct/$bench_results results correct" >&2
+    exit 1
+fi
+echo "benchmark byte identity: 4/4 digests match, every result correct"
+
 echo "== hotbench smoke + perf gate (10 min cap) =="
 # Quick perf-trajectory pass: cycles/s on a real figure driver must stay
 # within the band of the last quick-config anchor point in

@@ -380,6 +380,18 @@ impl SetAssocCache {
         true
     }
 
+    /// Replay the replacement-state effect of a miss on `addr` without
+    /// looking it up: DRRIP's set-dueling update, and nothing for LRU and
+    /// SRRIP. Stats are untouched. For callers that skip a lookup they
+    /// know would miss again (the uncore's parked LLC retries, DESIGN.md
+    /// §11) and must leave the cache as the lookup would have.
+    pub fn replay_miss(&mut self, addr: Addr) {
+        if self.cfg.policy == ReplacementPolicy::Drrip {
+            let set = self.set_of(self.block_of(addr));
+            self.duel.on_miss(set);
+        }
+    }
+
     /// Hint the host CPU to start pulling the tag/state arrays for
     /// `addr`'s set into its cache. Purely a performance hint with no
     /// architectural effect: a large cache's metadata (megabytes for the
@@ -735,6 +747,32 @@ mod tests {
         // The duel must have moved (leader sets saw the stream), and the
         // hot block must survive most re-touches.
         assert!(hot_hits > 800, "hot block evicted too often: {hot_hits}");
+    }
+
+    #[test]
+    fn replay_miss_matches_a_missed_lookup_less_its_stats() {
+        // 64 sets, so both DRRIP leader sets (0 and 33) exist.
+        for policy in [
+            ReplacementPolicy::Lru,
+            ReplacementPolicy::Srrip,
+            ReplacementPolicy::Drrip,
+        ] {
+            let cfg = CacheConfig::new("T", 64 * 2 * 64, 2, 1, policy);
+            let mut looked = SetAssocCache::new(cfg.clone());
+            let mut replayed = SetAssocCache::new(cfg);
+            for block in 0..200u64 {
+                let addr = block * 64;
+                assert!(!looked.access(addr, AccessKind::Read, Source::Gpu));
+                looked.stats.undo_miss(true);
+                replayed.replay_miss(addr);
+                // Fill an earlier block: later lookups still miss, and
+                // DRRIP's insertion depth reads the dueling selector.
+                looked.fill(addr / 2, Source::Gpu, false);
+                replayed.fill(addr / 2, Source::Gpu, false);
+            }
+            assert_eq!(looked.stats.misses.get(), 0);
+            assert_eq!(format!("{looked:?}"), format!("{replayed:?}"), "{policy:?}");
+        }
     }
 
     #[test]

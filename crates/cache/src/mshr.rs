@@ -139,6 +139,15 @@ impl MshrFile {
         MshrOutcome::Primary
     }
 
+    /// Would [`Self::allocate`] for `block` record the miss rather than
+    /// return [`MshrOutcome::Full`]? Changes nothing.
+    pub fn can_allocate(&self, block: u64) -> bool {
+        match self.find(block) {
+            Some((_, s)) => (self.wlen[s] as usize) < self.max_waiters,
+            None => self.len < self.capacity,
+        }
+    }
+
     /// Standard linear-probing deletion at probe position `i`: walk the
     /// cluster, backward-shifting entries whose home position would
     /// otherwise become unreachable, then empty the final hole.
@@ -334,6 +343,23 @@ mod tests {
         assert_eq!(m.allocate(9, 0), MshrOutcome::Primary);
         assert_eq!(m.allocate(9, 1), MshrOutcome::Merged);
         assert_eq!(m.allocate(9, 2), MshrOutcome::Full);
+    }
+
+    #[test]
+    fn can_allocate_agrees_with_allocate() {
+        let mut m = MshrFile::new(2, 2);
+        assert!(m.can_allocate(1));
+        m.allocate(1, 10);
+        assert!(m.can_allocate(1), "room to merge");
+        m.allocate(1, 11);
+        assert!(!m.can_allocate(1), "waiter list full");
+        assert!(m.can_allocate(2));
+        m.allocate(2, 12);
+        assert!(!m.can_allocate(3), "no free entry");
+        assert_eq!(m.allocate(3, 13), MshrOutcome::Full);
+        assert_eq!(m.stall_count(), 1, "the probe recorded no stall");
+        m.complete(1);
+        assert!(m.can_allocate(1) && m.can_allocate(3));
     }
 
     #[test]

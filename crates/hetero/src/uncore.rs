@@ -146,7 +146,6 @@ pub struct UncoreStats {
     pub back_invalidations: Counter,
     pub gpu_fills_bypassed: Counter,
     pub gpu_fills_inserted: Counter,
-    pub llc_retry_cycles: Counter,
 }
 
 /// The shared uncore.
@@ -156,7 +155,13 @@ pub struct Uncore {
     pub llc: SetAssocCache,
     llc_mshr: MshrFile,
     llc_queue: std::collections::VecDeque<u64>,
+    /// Reads whose lookup found the LLC MSHR file full, in retry order.
     llc_retry: std::collections::VecDeque<u64>,
+    /// Length of the prefix of `llc_retry` still worth a lookup. The rest
+    /// are parked: they failed, and neither an LLC fill nor an MSHR
+    /// release has happened since, so they would fail again (DESIGN.md
+    /// §11).
+    fresh_retries: usize,
     /// Requests accepted but not yet past their LLC lookup (ring transit +
     /// queue + retry); bounds acceptance in [`Self::try_request`].
     to_llc_count: usize,
@@ -261,6 +266,7 @@ impl Uncore {
             llc_mshr,
             llc_queue: std::collections::VecDeque::new(),
             llc_retry: std::collections::VecDeque::new(),
+            fresh_retries: 0,
             to_llc_count: 0,
             resp_due: Vec::new(),
             miss_due: Vec::new(),
@@ -399,15 +405,27 @@ impl Uncore {
     }
 
     fn llc_service(&mut self, now: Cycle) {
+        let slots = self.cfg.llc_lookups_per_cycle;
         let mut served = 0;
-        while served < self.cfg.llc_lookups_per_cycle {
+        while served < slots {
             // Retries (MSHR-full misses) go first so they cannot starve.
-            let id = match self.llc_retry.pop_front() {
-                Some(id) => id,
-                None => match self.llc_queue.pop_front() {
+            let id = if self.fresh_retries > 0 {
+                self.fresh_retries -= 1;
+                self.llc_retry
+                    .pop_front()
+                    .expect("fresh retries are queued")
+            } else if !self.llc_retry.is_empty() {
+                // Every queued retry is parked: the cycle's remaining
+                // slots would re-fail them while `llc_queue` waits. The
+                // next cycle looks nothing up unless a fill or release
+                // wakes them, so nothing is worth prefetching.
+                self.refail_parked(slots - served);
+                return;
+            } else {
+                match self.llc_queue.pop_front() {
                     Some(id) => id,
                     None => break,
-                },
+                }
             };
             served += 1;
             self.to_llc_count = self.to_llc_count.saturating_sub(1);
@@ -427,6 +445,7 @@ impl Uncore {
         for &id in self
             .llc_retry
             .iter()
+            .take(self.fresh_retries)
             .chain(self.llc_queue.iter())
             .take(self.cfg.llc_lookups_per_cycle as usize)
         {
@@ -434,6 +453,22 @@ impl Uncore {
                 self.llc.prefetch(t.addr);
             }
         }
+    }
+
+    /// Spend `rest` lookup slots on parked retries without looking them
+    /// up. Each slot would re-fail the next parked entry in order and put
+    /// it at the back, leaving the stats, the MSHR file and `to_llc_count`
+    /// as they were. The only lasting effect is DRRIP's set-dueling update
+    /// on each miss, which is replayed.
+    fn refail_parked(&mut self, rest: u32) {
+        let rest = rest as usize;
+        for &id in self.llc_retry.iter().cycle().take(rest) {
+            if let Some(t) = self.txns.get(id) {
+                self.llc.replay_miss(t.addr);
+            }
+        }
+        let len = self.llc_retry.len();
+        self.llc_retry.rotate_left(rest % len);
     }
 
     fn llc_write(&mut self, now: Cycle, id: u64, txn: Txn) {
@@ -447,8 +482,10 @@ impl Uncore {
         self.txns.remove(id);
     }
 
-    /// LLC fill honouring the static way-partitioning ablation.
+    /// LLC fill honouring the static way-partitioning ablation. A fill
+    /// can turn a parked retry into a hit, so every retry becomes fresh.
     fn llc_fill(&mut self, addr: u64, source: Source, dirty: bool) -> Option<gat_cache::Evicted> {
+        self.fresh_retries = self.llc_retry.len();
         match self.cfg.gpu_llc_ways {
             Some(k) => {
                 let ways = self.cfg.llc_ways;
@@ -487,7 +524,6 @@ impl Uncore {
                 self.llc.stats.undo_miss(txn.requester.is_gpu());
                 self.llc_retry.push_back(id);
                 self.to_llc_count += 1;
-                self.stats.llc_retry_cycles.inc();
             }
         }
     }
@@ -605,6 +641,8 @@ impl Uncore {
         // steady-state allocation on the fill path.
         let mut waiters = std::mem::take(&mut self.waiter_buf);
         self.llc_mshr.complete_into(txn.addr, &mut waiters);
+        // The released entry can take a parked retry's miss.
+        self.fresh_retries = self.llc_retry.len();
         let llc_stop = StopId(self.cfg.llc_stop());
         for &wid in &waiters {
             let requester = match self.txns.get_mut(wid) {
@@ -710,6 +748,24 @@ impl Uncore {
                 self.llc_retry.len(),
                 self.to_llc_count
             ));
+        }
+        if self.fresh_retries > self.llc_retry.len() {
+            return Err(format!(
+                "{} fresh LLC retries but only {} queued",
+                self.fresh_retries,
+                self.llc_retry.len()
+            ));
+        }
+        for &id in self.llc_retry.iter().skip(self.fresh_retries) {
+            let Some(txn) = self.txns.get(id) else {
+                return Err(format!("parked LLC retry {id:#x} has no transaction"));
+            };
+            if self.llc.probe(txn.addr) || self.llc_mshr.can_allocate(txn.addr) {
+                return Err(format!(
+                    "parked LLC retry {id:#x} (block {:#x}) would no longer fail",
+                    txn.addr
+                ));
+            }
         }
         for (i, ch) in self.channels.iter().enumerate() {
             if ch.queue_len() > ch.queue_capacity() {
@@ -1165,5 +1221,56 @@ mod tests {
             u.tick(0, SchedCtx::default());
         }
         assert!(accepted < 64, "queue must eventually refuse");
+    }
+
+    /// With two LLC MSHRs, misses beyond the second re-fail every cycle
+    /// until a fill or MSHR release, and the retry queue is served first:
+    /// a read of a block that is already in the LLC waits behind them.
+    /// The completion sequence is pinned.
+    #[test]
+    fn hit_waits_behind_mshr_full_retries() {
+        let mut cfg = MachineConfig::table_one(16, 7);
+        cfg.llc_latency = 10;
+        cfg.llc_mshrs = 2;
+        let mut u = Uncore::new(&cfg);
+        let read = |token, addr| BlockReq {
+            token,
+            addr,
+            write: false,
+        };
+        // Warm one block into the LLC and drain the machine.
+        assert!(u.try_request(0, Source::Cpu(0), read(99, 0x7000)));
+        let warm = run_for(&mut u, 0, 2000);
+        assert_eq!(warm.len(), 1);
+        assert!(u.llc.probe(0x7000) && !u.busy());
+        let start = 2000;
+        for i in 0..6u64 {
+            let source = Source::Cpu((i % 4) as u8);
+            assert!(u.try_request(start, source, read(i, 0x10_0000 + i * 4096)));
+        }
+        assert!(u.try_request(start, Source::Cpu(0), read(6, 0x7000)));
+        let mut seq = Vec::new();
+        let mut out = Vec::new();
+        for now in start..start + 4000 {
+            u.tick(now, SchedCtx::default());
+            u.check_invariants().unwrap();
+            u.drain_completions(&mut out);
+            seq.extend(out.drain(..).map(|c| (c.token, now - start)));
+        }
+        assert!(!u.busy());
+        // Recorded when every retry still repeated its lookup: the hit
+        // (token 6) lands after four of the misses.
+        assert_eq!(
+            seq,
+            [
+                (3, 147),
+                (0, 164),
+                (2, 236),
+                (1, 253),
+                (6, 263),
+                (4, 436),
+                (5, 453)
+            ]
+        );
     }
 }

@@ -4,9 +4,10 @@
 //! A smoke-scale M7 run (DOOM3 + 4 SPEC cores, the full proposal) is
 //! captured three ways — the structured run-event JSONL stream, the final
 //! `RunResult` JSON object, and the human-readable report — and each is
-//! diffed against its committed fixture. Any change to event emission,
-//! metric keys, JSON formatting, or simulator behaviour shows up as a
-//! golden diff and must be reviewed deliberately.
+//! diffed against its committed fixture. Two more runs of the same mix
+//! with a DRRIP LLC pin the `RunResult` JSON alone. Any change to event
+//! emission, metric keys, JSON formatting, or simulator behaviour shows
+//! up as a golden diff and must be reviewed deliberately.
 //!
 //! To regenerate after an intentional change:
 //!
@@ -16,6 +17,7 @@
 
 use std::path::PathBuf;
 
+use gat::cache::ReplacementPolicy;
 use gat::prelude::*;
 use gat::sim::json::validate_json_line;
 
@@ -103,4 +105,27 @@ fn m7_smoke_run_matches_goldens() {
     check_golden("m7_smoke_events.jsonl", &events);
     check_golden("m7_smoke_result.json", &result_json);
     check_golden("m7_smoke_report.txt", &report);
+}
+
+/// The full proposal on the M7 mix with a DRRIP LLC, at the default 64
+/// LLC MSHRs and at 32, where the MSHR file is full for longer stretches.
+/// DRRIP's set-dueling selector moves on every LLC miss, including a
+/// lookup that re-fails on a full MSHR file, so these runs pin that the
+/// parked-retry fast path replays those updates (DESIGN.md §11).
+#[test]
+fn m7_drrip_runs_match_goldens() {
+    for mshrs in [64, 32] {
+        let mix = mix_m(7);
+        let mut cfg = MachineConfig::table_one(256, 9);
+        cfg.limits = RunLimits::smoke();
+        cfg.qos = QosMode::ThrotCpuPrio;
+        cfg.sched = SchedulerKind::FrFcfsCpuPrio;
+        cfg.llc_policy = ReplacementPolicy::Drrip;
+        cfg.llc_mshrs = mshrs;
+        let result = HeteroSystem::new(cfg, &mix.cpu, Some(mix.game.clone())).run();
+        let mut json = result.to_json();
+        validate_json_line(&json).unwrap();
+        json.push('\n');
+        check_golden(&format!("m7_drrip_mshr{mshrs}_result.json"), &json);
+    }
 }
