@@ -123,6 +123,22 @@ diff <(grep -v '"type":"batch_summary"' /tmp/gat_serve_ci/cold.jsonl) \
      <(grep -v '"type":"batch_summary"' /tmp/gat_serve_ci/warm.jsonl)
 echo "gat-serve smoke: 6 typed outcomes + 1 spec error, warm run 100% cached"
 
+echo "== one config path: runsim --json == the gat-serve payload =="
+# runsim resolves its flags through the same JobSpec as a spec line
+# (DESIGN.md §12), so the fixture's healthy job run both ways must write
+# the same result lines.
+grep -F '"id":"healthy"' crates/bench/fixtures/batch_smoke.jsonl \
+    >/tmp/gat_serve_ci/healthy.jsonl
+timeout 600 cargo run --release -q -p gat-bench --bin gat-serve -- \
+    --jobs /tmp/gat_serve_ci/healthy.jsonl --out /tmp/gat_serve_ci/healthy_out.jsonl
+timeout 600 cargo run --release -q -p gat-bench --bin runsim -- \
+    --game DOOM3 --cpus 470 --instr 20000 --frames 1 --warmup 10000 \
+    --json /tmp/gat_serve_ci/healthy_runsim.jsonl >/dev/null
+diff <(grep -v '"type":"job_outcome"\|"type":"batch_summary"' \
+        /tmp/gat_serve_ci/healthy_out.jsonl) \
+     /tmp/gat_serve_ci/healthy_runsim.jsonl
+echo "one config path: runsim and gat-serve wrote identical result lines"
+
 echo "== paranoia invariant sweep (10 min cap) =="
 # Run the golden snapshot under GAT_PARANOIA=1: every tick re-checks the
 # MSHR/ATU/queue/epoch invariants and the bytes must not change.

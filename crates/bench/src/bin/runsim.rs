@@ -14,6 +14,11 @@
 //! tunes the liveness watchdog window in CPU cycles (0 disables it).
 //! ```
 //!
+//! Each flag sets the `gat-serve` job-spec key of the same name on top
+//! of `JobSpec::base`, and the run is what `JobSpec::resolve` builds, so
+//! `--json` writes the payload a spec line with the same keys would
+//! (DESIGN.md §12).
+//!
 //! Exit codes: 0 success, 1 I/O failure, 2 bad usage or configuration,
 //! 3 simulation abort (watchdog / invariant violation).
 //!
@@ -26,11 +31,8 @@
 
 #![warn(clippy::disallowed_methods)]
 
-use gat_bench::{fail, fault_plan_from, parse_num, Args, CliError};
-use gat_cache::ReplacementPolicy;
-use gat_dram::SchedulerKind;
-use gat_hetero::{FillPolicyKind, HeteroSystem, MachineConfig, QosMode};
-use gat_workloads::{all_games, all_spec};
+use gat_bench::{fail, runsim_spec, Args, CliError};
+use gat_hetero::HeteroSystem;
 
 fn main() {
     if let Err(e) = real_main() {
@@ -45,74 +47,8 @@ fn real_main() -> Result<(), CliError> {
         "--partition-channels --llc-lru",
     )?;
 
-    let mut cfg = MachineConfig::table_one(args.num("--scale", 128)?, args.num("--seed", 1)?);
-    cfg.limits.cpu_instructions = args.num("--instr", 400_000)?;
-    cfg.limits.gpu_frames = args.num("--frames", 4)?;
-    cfg.limits.warmup_cycles = args.num("--warmup", 200_000)?;
-    if let Some(w) = args.num_opt("--watchdog")? {
-        cfg.limits.watchdog = w;
-    }
-
-    cfg.sched = match args.get("--sched") {
-        None | Some("frfcfs") => SchedulerKind::FrFcfs,
-        Some("cpuprio") => SchedulerKind::FrFcfsCpuPrio,
-        Some("sms09") => SchedulerKind::Sms(0.9),
-        Some("sms0") => SchedulerKind::Sms(0.0),
-        Some("dynprio") => SchedulerKind::DynPrio,
-        Some("static") => SchedulerKind::StaticCpuPrio,
-        Some(o) => return Err(CliError::Usage(format!("unknown scheduler {o:?}"))),
-    };
-    cfg.qos = match args.get("--qos") {
-        None | Some("off") => QosMode::Off,
-        Some("observe") => QosMode::Observe,
-        Some("throttle") => QosMode::Throttle,
-        Some("full") => QosMode::ThrotCpuPrio,
-        Some("prioonly") => QosMode::CpuPrioOnly,
-        Some(o) => return Err(CliError::Usage(format!("unknown qos mode {o:?}"))),
-    };
-    cfg.fill_policy = match args.get("--fill") {
-        None | Some("base") => FillPolicyKind::Baseline,
-        Some("bypass") => FillPolicyKind::BypassAll,
-        Some("helm") => FillPolicyKind::Helm,
-        Some(o) => return Err(CliError::Usage(format!("unknown fill policy {o:?}"))),
-    };
-    cfg.gpu_llc_ways = args.num_opt("--gpu-ways")?;
-    cfg.partition_channels = args.has("--partition-channels");
-    if args.has("--llc-lru") {
-        cfg.llc_policy = ReplacementPolicy::Lru;
-    }
-    cfg.faults = fault_plan_from(args.get("--faults"))?;
-    cfg.validate()
-        .map_err(|e| CliError::Config(e.to_string()))?;
-
-    let mut apps = Vec::new();
-    for id in args
-        .get("--cpus")
-        .unwrap_or("470,410,433,462")
-        .split(',')
-        .filter(|s| !s.is_empty())
-    {
-        let id: u16 = parse_num("--cpus", id.trim())?;
-        let p = all_spec()
-            .into_iter()
-            .find(|p| p.spec_id == id)
-            .ok_or_else(|| CliError::Usage(format!("unknown SPEC id {id}")))?;
-        apps.push(p);
-    }
-    let g = match args.get("--game") {
-        Some(n) => Some(
-            all_games()
-                .into_iter()
-                .find(|g| g.name == n)
-                .ok_or_else(|| CliError::Usage(format!("unknown game {n:?}")))?,
-        ),
-        None => None,
-    };
-    if g.is_none() && apps.is_empty() {
-        return Err(CliError::Usage("need at least one of --game/--cpus".into()));
-    }
-
-    let mut sys = HeteroSystem::new(cfg, &apps, g);
+    let job = runsim_spec(&args)?.resolve()?;
+    let mut sys = HeteroSystem::new(job.cfg, &job.apps, job.game);
     let result = sys.try_run()?;
     print!("{}", result.render_report());
     if let Some(path) = args.get("--json") {

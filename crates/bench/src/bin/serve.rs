@@ -7,7 +7,7 @@
 //! ```
 //!
 //! * `--jobs` (required): JSONL batch file, one job spec per line
-//!   (`#` comments and blank lines skipped). Spec fields mirror the
+//!   (`#` comments and blank lines skipped). Spec keys are the
 //!   `runsim` flags; see DESIGN.md §12 for the grammar and budgets.
 //! * `--out`: stream job blocks + batch summary to this JSONL file.
 //! * `--stdout`: also stream them to stdout.

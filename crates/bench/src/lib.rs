@@ -15,7 +15,10 @@
 use gat_hetero::experiments::{self, ExpConfig};
 use gat_hetero::report::Table;
 use gat_hetero::SimError;
+use gat_serve::spec::{apply_field, SpecError};
+use gat_serve::JobSpec;
 use gat_sim::faults::FaultPlan;
+use gat_sim::json::JsonValue;
 
 /// All known figure ids, in paper order.
 pub const FIGURES: [&str; 10] = [
@@ -178,6 +181,40 @@ pub fn fault_plan_from(cli_spec: Option<&str>) -> Result<FaultPlan, CliError> {
     FaultPlan::from_env()
         .map(|opt| opt.unwrap_or_default())
         .map_err(|e| CliError::Config(format!("GAT_FAULTS: {e}")))
+}
+
+/// `runsim`'s command line as a job spec. Starting from
+/// [`JobSpec::base`], every flag but `--json` sets the spec key of the
+/// same name (`--gpu-ways N` is `"gpu_ways": N`, a switch is `true`),
+/// and `GAT_FAULTS` stands in for an absent `--faults`. Names are checked
+/// when the spec is resolved.
+pub fn runsim_spec(args: &Args) -> Result<JobSpec, CliError> {
+    let mut spec = JobSpec::base("runsim");
+    spec.faults = gat_sim::knobs::faults_spec().unwrap_or_default();
+    let mut set = |flag: &str, value: JsonValue| {
+        let key = flag.trim_start_matches("--").replace('-', "_");
+        apply_field(&mut spec, &key, &value).map_err(|e| CliError::Usage(format!("{flag}: {e}")))
+    };
+    // Reversed so that, as with `Args::get`, a repeated flag's first value wins.
+    for (flag, v) in args.values.iter().rev() {
+        match flag.as_str() {
+            "--json" => {}
+            "--game" | "--cpus" | "--sched" | "--qos" | "--fill" | "--faults" => {
+                set(flag, JsonValue::Str(v.clone()))?;
+            }
+            _ => set(flag, JsonValue::Num(v.clone()))?,
+        }
+    }
+    for switch in &args.switches {
+        set(switch, JsonValue::Bool(true))?;
+    }
+    Ok(spec)
+}
+
+impl From<SpecError> for CliError {
+    fn from(e: SpecError) -> Self {
+        CliError::Config(e.detail)
+    }
 }
 
 /// Regenerate one figure as structured [`Table`]s. Both the text and the

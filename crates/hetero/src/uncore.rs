@@ -12,7 +12,7 @@
 //! * the LLC is **inclusive for CPU blocks** — evicting a CPU-owned block
 //!   back-invalidates that core's L1/L2 — and **non-inclusive for GPU
 //!   blocks** (Table I),
-//! * GPU read fills consult the configured [`LlcFillPolicy`] (baseline
+//! * GPU read fills follow the configured [`FillPolicyKind`] (baseline
 //!   insert, Fig. 3 bypass-all, or HeLM),
 //! * GPU write misses allocate directly in the LLC without a DRAM read
 //!   (footnote 6),
@@ -24,7 +24,7 @@ use gat_cache::{
     AccessKind, BlockReq, CacheConfig, MemPort, MshrFile, MshrOutcome, SetAssocCache, Source,
 };
 use gat_dram::{Completion, DramChannel, DramRequest, SchedCtx};
-use gat_policies::{BypassAllGpuReads, FillDecision, Helm, InsertAll, LlcFillPolicy};
+use gat_policies::Helm;
 use gat_ring::{Ring, RingTopology, StopId};
 use gat_sim::addr::line_of;
 use gat_sim::faults::DelayInjector;
@@ -182,7 +182,8 @@ pub struct Uncore {
     /// skipped entirely while this is zero (the common case).
     mc_retry_total: usize,
     txns: TxnSlab,
-    policy: Box<dyn LlcFillPolicy>,
+    /// HeLM's bypass state; consulted only under `FillPolicyKind::Helm`.
+    helm: Helm,
     /// GPU latency tolerance sampled by the system each cycle (HeLM).
     pub gpu_tolerance: f64,
     completions: Vec<UncoreCompletion>,
@@ -216,11 +217,6 @@ impl Uncore {
                 )
             })
             .collect();
-        let policy: Box<dyn LlcFillPolicy> = match cfg.fill_policy {
-            FillPolicyKind::Baseline => Box::new(InsertAll),
-            FillPolicyKind::BypassAll => Box::new(BypassAllGpuReads),
-            FillPolicyKind::Helm => Box::new(Helm::default()),
-        };
         let mc_retry = (0..cfg.dram_map.channels)
             .map(|_| std::collections::VecDeque::new())
             .collect();
@@ -278,7 +274,7 @@ impl Uncore {
             mc_retry,
             mc_retry_total: 0,
             txns: TxnSlab::default(),
-            policy,
+            helm: Helm::default(),
             gpu_tolerance: 0.0,
             completions: Vec::new(),
             back_invals: Vec::new(),
@@ -618,18 +614,22 @@ impl Uncore {
         let Some(txn) = self.txns.get(id).copied() else {
             return;
         };
-        // Fill decision: CPU fills always insert; GPU fills ask the policy.
+        // Fill decision: CPU fills always insert; GPU fills follow the
+        // configured fill policy.
         let insert = match txn.requester {
             Source::Cpu(_) => true,
             Source::Gpu => {
-                let d = self.policy.on_gpu_read_fill(self.gpu_tolerance);
-                if d == FillDecision::Insert {
-                    self.stats.gpu_fills_inserted.inc();
-                    true
-                } else {
+                let bypass = match self.cfg.fill_policy {
+                    FillPolicyKind::Baseline => false,
+                    FillPolicyKind::BypassAll => true,
+                    FillPolicyKind::Helm => self.helm.bypass(self.gpu_tolerance),
+                };
+                if bypass {
                     self.stats.gpu_fills_bypassed.inc();
-                    false
+                } else {
+                    self.stats.gpu_fills_inserted.inc();
                 }
+                !bypass
             }
         };
         if insert {

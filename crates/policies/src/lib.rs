@@ -1,75 +1,23 @@
-//! `gat-policies` — LLC fill policies the paper compares against.
+//! `gat-policies` — HeLM, the LLC fill policy the paper compares against.
 //!
-//! The shared LLC consults a [`LlcFillPolicy`] when a GPU read returns
-//! from DRAM: insert the block, or hand the data to the GPU without
-//! caching it (*bypass*). Three policies are provided:
+//! When a GPU read returns from DRAM the shared LLC either inserts the
+//! block or hands the data to the GPU without caching it (*bypass*). The
+//! uncore dispatches on `FillPolicyKind` itself: the baseline inserts
+//! every fill, Fig. 3's bypass-all bypasses every GPU read fill, and only
+//! HeLM keeps state, so only HeLM lives here.
 //!
-//! * [`InsertAll`] — the baseline: every fill is inserted (SRRIP decides
-//!   the victim).
-//! * [`BypassAllGpuReads`] — the motivation experiment of Fig. 3: every
-//!   GPU read-miss fill bypasses the LLC. The freed capacity helps some
-//!   CPU workloads, but the GPU loses all its LLC reuse and the extra
-//!   DRAM traffic hurts others — the paper measures a 2% average CPU
-//!   *loss*.
-//! * [`Helm`] — the state-of-the-art comparison (Mekkat et al., PACT
-//!   2013): bypass GPU fills while the GPU is latency-tolerant. Our
-//!   tolerance signal is the one HeLM's threading argument appeals to —
-//!   the fraction of shader work that is ready to run while memory is
-//!   outstanding — smoothed with an EMA and compared against a threshold
-//!   with hysteresis.
+//! [`Helm`] (Mekkat et al., PACT 2013) bypasses GPU fills while the GPU
+//! is latency-tolerant. Our tolerance signal is the one HeLM's threading
+//! argument appeals to — the fraction of shader work that is ready to run
+//! while memory is outstanding — smoothed with an EMA and compared
+//! against a threshold with hysteresis.
 //!
-//! CPU fills are never bypassed by any of these policies.
+//! CPU fills are never bypassed.
 
 #![warn(clippy::disallowed_types, clippy::disallowed_methods)]
 #![warn(clippy::print_stdout, clippy::print_stderr)]
 #![warn(clippy::wildcard_enum_match_arm)]
 #![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
-
-/// What to do with a returning GPU read fill.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FillDecision {
-    Insert,
-    Bypass,
-}
-
-/// Decides the fate of GPU read fills at the LLC.
-///
-/// `tolerance` is the GPU's current latency tolerance in `[0, 1]`: the
-/// fraction of shader thread-context capacity that has ready work queued
-/// behind the outstanding memory accesses (sampled by the uncore from the
-/// pipeline each time a fill returns).
-pub trait LlcFillPolicy: Send {
-    fn on_gpu_read_fill(&mut self, tolerance: f64) -> FillDecision;
-    fn name(&self) -> &'static str;
-}
-
-/// Baseline: insert everything.
-#[derive(Debug, Default)]
-pub struct InsertAll;
-
-impl LlcFillPolicy for InsertAll {
-    fn on_gpu_read_fill(&mut self, _tolerance: f64) -> FillDecision {
-        FillDecision::Insert
-    }
-
-    fn name(&self) -> &'static str {
-        "baseline"
-    }
-}
-
-/// Fig. 3: force every GPU read-miss fill to bypass the LLC.
-#[derive(Debug, Default)]
-pub struct BypassAllGpuReads;
-
-impl LlcFillPolicy for BypassAllGpuReads {
-    fn on_gpu_read_fill(&mut self, _tolerance: f64) -> FillDecision {
-        FillDecision::Bypass
-    }
-
-    fn name(&self) -> &'static str {
-        "bypass-all"
-    }
-}
 
 /// HeLM: threshold-based latency-tolerance bypass with EMA smoothing and
 /// hysteresis.
@@ -82,8 +30,6 @@ pub struct Helm {
     ema: f64,
     alpha: f64,
     bypassing: bool,
-    pub bypassed: u64,
-    pub inserted: u64,
 }
 
 impl Helm {
@@ -95,23 +41,24 @@ impl Helm {
             ema: 0.0,
             alpha: 0.05,
             bypassing: false,
-            bypassed: 0,
-            inserted: 0,
         }
     }
 
-    /// Smoothed tolerance estimate.
-    pub fn tolerance_ema(&self) -> f64 {
-        self.ema
-    }
-
-    pub fn bypass_fraction(&self) -> f64 {
-        let total = self.bypassed + self.inserted;
-        if total == 0 {
-            0.0
-        } else {
-            self.bypassed as f64 / total as f64
+    /// Should this GPU read fill bypass the LLC? `tolerance` is the GPU's
+    /// current latency tolerance in `[0, 1]`: the fraction of shader
+    /// thread-context capacity that has ready work queued behind the
+    /// outstanding memory accesses (sampled by the uncore from the
+    /// pipeline each time a fill returns).
+    pub fn bypass(&mut self, tolerance: f64) -> bool {
+        self.ema = self.alpha * tolerance.clamp(0.0, 1.0) + (1.0 - self.alpha) * self.ema;
+        if self.bypassing {
+            if self.ema < self.threshold - self.hysteresis {
+                self.bypassing = false;
+            }
+        } else if self.ema > self.threshold + self.hysteresis {
+            self.bypassing = true;
         }
+        self.bypassing
     }
 }
 
@@ -123,78 +70,33 @@ impl Default for Helm {
     }
 }
 
-impl LlcFillPolicy for Helm {
-    fn on_gpu_read_fill(&mut self, tolerance: f64) -> FillDecision {
-        self.ema = self.alpha * tolerance.clamp(0.0, 1.0) + (1.0 - self.alpha) * self.ema;
-        if self.bypassing {
-            if self.ema < self.threshold - self.hysteresis {
-                self.bypassing = false;
-            }
-        } else if self.ema > self.threshold + self.hysteresis {
-            self.bypassing = true;
-        }
-        if self.bypassing {
-            self.bypassed += 1;
-            FillDecision::Bypass
-        } else {
-            self.inserted += 1;
-            FillDecision::Insert
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "HeLM"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn baseline_always_inserts() {
-        let mut p = InsertAll;
-        for t in [0.0, 0.5, 1.0] {
-            assert_eq!(p.on_gpu_read_fill(t), FillDecision::Insert);
-        }
-    }
-
-    #[test]
-    fn bypass_all_always_bypasses() {
-        let mut p = BypassAllGpuReads;
-        for t in [0.0, 0.5, 1.0] {
-            assert_eq!(p.on_gpu_read_fill(t), FillDecision::Bypass);
-        }
-    }
-
-    #[test]
     fn helm_starts_inserting_then_bypasses_tolerant_gpu() {
         let mut p = Helm::new(0.4);
         // Cold start: EMA at 0, inserts.
-        assert_eq!(p.on_gpu_read_fill(1.0), FillDecision::Insert);
+        assert!(!p.bypass(1.0));
         // Sustained high tolerance flips it to bypassing.
-        let mut flipped = false;
-        for _ in 0..200 {
-            if p.on_gpu_read_fill(1.0) == FillDecision::Bypass {
-                flipped = true;
-                break;
-            }
-        }
-        assert!(flipped, "EMA must cross the threshold");
-        assert!(p.tolerance_ema() > 0.4);
+        assert!(
+            (0..200).any(|_| p.bypass(1.0)),
+            "EMA must cross the threshold"
+        );
     }
 
     #[test]
     fn helm_reverts_when_tolerance_collapses() {
         let mut p = Helm::new(0.4);
         for _ in 0..300 {
-            p.on_gpu_read_fill(1.0);
+            p.bypass(1.0);
         }
-        assert_eq!(p.on_gpu_read_fill(1.0), FillDecision::Bypass);
+        assert!(p.bypass(1.0));
         for _ in 0..300 {
-            p.on_gpu_read_fill(0.0);
+            p.bypass(0.0);
         }
-        assert_eq!(p.on_gpu_read_fill(0.0), FillDecision::Insert);
+        assert!(!p.bypass(0.0));
     }
 
     #[test]
@@ -202,24 +104,14 @@ mod tests {
         let mut p = Helm::new(0.4);
         // Drive the EMA to exactly the threshold region.
         for _ in 0..2000 {
-            p.on_gpu_read_fill(0.4);
+            p.bypass(0.4);
         }
-        let state_a = p.on_gpu_read_fill(0.4);
+        let state_a = p.bypass(0.4);
         // Small oscillation around the threshold must not flip the state.
         for _ in 0..20 {
-            p.on_gpu_read_fill(0.42);
-            p.on_gpu_read_fill(0.38);
+            p.bypass(0.42);
+            p.bypass(0.38);
         }
-        assert_eq!(p.on_gpu_read_fill(0.4), state_a);
-    }
-
-    #[test]
-    fn helm_counts_decisions() {
-        let mut p = Helm::new(0.0);
-        for _ in 0..10 {
-            p.on_gpu_read_fill(1.0);
-        }
-        assert_eq!(p.bypassed + p.inserted, 10);
-        assert!(p.bypass_fraction() > 0.0);
+        assert_eq!(p.bypass(0.4), state_a);
     }
 }

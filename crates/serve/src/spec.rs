@@ -1,10 +1,11 @@
 //! The JSONL job-spec grammar: one JSON object per line, each describing
 //! one simulation job (machine/experiment/QoS config + seed + budgets).
 //!
-//! Field defaults mirror the `runsim` one-shot CLI exactly, so a spec
-//! that states only what `runsim` flags would state produces the same
-//! `MachineConfig` — and therefore byte-identical results — as the
-//! equivalent one-shot invocation. Unknown keys are rejected (a typo'd
+//! This is the one config path per job: the `runsim` one-shot CLI fills
+//! a [`JobSpec`] from [`JobSpec::base`] through [`apply_field`] and
+//! runs what [`JobSpec::resolve`] returns, so a spec line and the
+//! equivalent `runsim` flags produce the same `MachineConfig` — and
+//! therefore byte-identical results. Unknown keys are rejected (a typo'd
 //! budget silently defaulting to "unlimited" is the failure mode this
 //! grammar exists to prevent).
 
@@ -25,7 +26,7 @@ pub const SPEC_SCHEMA: u32 = 1;
 pub const CODE_VERSION: &str = concat!("gat-serve/", env!("CARGO_PKG_VERSION"));
 
 /// One job: what to simulate, under which budgets, with which retry
-/// allowance. Defaults mirror `runsim`.
+/// allowance. `runsim` builds one of these from its flags.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Job id: unique within a batch (used for dump-file suffixes and
@@ -67,9 +68,9 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// The all-defaults spec: mirrors `runsim` with no flags, including
-    /// its default CPU mix. A GPU-only job states `"cpus": []` exactly
-    /// like `runsim --cpus ""`.
+    /// The all-defaults spec, which is also `runsim` with no flags,
+    /// including its default CPU mix. A GPU-only job states `"cpus": []`
+    /// exactly like `runsim --cpus ""`.
     pub fn base(id: impl Into<String>) -> Self {
         Self {
             id: id.into(),
@@ -144,7 +145,8 @@ impl JobSpec {
     }
 
     /// Resolve the spec into a validated machine configuration plus its
-    /// workloads. Mirrors `runsim`'s flag mapping one-to-one.
+    /// workloads. The only place the scheduler, QoS and fill names map to
+    /// their enums; `runsim` and the batch engine both run through it.
     pub fn resolve(&self) -> Result<ResolvedJob, SpecError> {
         let bad = |what: &str, detail: String| SpecError {
             line: 0,
@@ -305,7 +307,9 @@ pub fn parse_spec_line(line: &str, ordinal: usize) -> Result<JobSpec, String> {
     Ok(spec)
 }
 
-fn apply_field(spec: &mut JobSpec, key: &str, value: &JsonValue) -> Result<(), String> {
+/// Set one spec key from its JSON value: the key table shared by spec
+/// lines and `runsim` flags. The error names the key.
+pub fn apply_field(spec: &mut JobSpec, key: &str, value: &JsonValue) -> Result<(), String> {
     let str_of = |v: &JsonValue| {
         v.as_str()
             .map(str::to_string)
@@ -314,6 +318,9 @@ fn apply_field(spec: &mut JobSpec, key: &str, value: &JsonValue) -> Result<(), S
     let u64_of = |v: &JsonValue| {
         v.as_u64()
             .ok_or_else(|| format!("field {key:?} wants a non-negative integer"))
+    };
+    let u32_of = |v: &JsonValue| {
+        u32::try_from(u64_of(v)?).map_err(|_| format!("field {key:?} is out of range"))
     };
     let bool_of = |v: &JsonValue| {
         v.as_bool()
@@ -354,16 +361,14 @@ fn apply_field(spec: &mut JobSpec, key: &str, value: &JsonValue) -> Result<(), S
         "sched" => spec.sched = str_of(value)?,
         "qos" => spec.qos = str_of(value)?,
         "fill" => spec.fill = str_of(value)?,
-        "scale" => spec.scale = u32::try_from(u64_of(value)?).map_err(|e| e.to_string())?,
+        "scale" => spec.scale = u32_of(value)?,
         "seed" => spec.seed = u64_of(value)?,
         "instr" => spec.instr = u64_of(value)?,
-        "frames" => spec.frames = u32::try_from(u64_of(value)?).map_err(|e| e.to_string())?,
+        "frames" => spec.frames = u32_of(value)?,
         "warmup" => spec.warmup = u64_of(value)?,
         "max_cycles" => spec.max_cycles = Some(u64_of(value)?),
         "watchdog" => spec.watchdog = Some(u64_of(value)?),
-        "gpu_ways" => {
-            spec.gpu_ways = Some(u32::try_from(u64_of(value)?).map_err(|e| e.to_string())?);
-        }
+        "gpu_ways" => spec.gpu_ways = Some(u32_of(value)?),
         "partition_channels" => spec.partition_channels = bool_of(value)?,
         "llc_lru" => spec.llc_lru = bool_of(value)?,
         "faults" => spec.faults = str_of(value)?,
@@ -420,7 +425,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_mirror_runsim() {
+    fn base_is_runsim_without_flags() {
         let s = parse_spec_line(r#"{"game":"DOOM3"}"#, 1).unwrap();
         assert_eq!(s.id, "job1");
         assert_eq!(s.scale, 128);
@@ -451,6 +456,11 @@ mod tests {
         assert!(parse_spec_line(r#"{"fixture":"explode"}"#, 1).is_err());
         assert!(parse_spec_line(r#"{"id":"a/b"}"#, 1).is_err());
         assert!(parse_spec_line(r#"{"retry":{"max":99}}"#, 1).is_err());
+        for key in ["scale", "frames", "gpu_ways"] {
+            let line = format!(r#"{{"{key}":5000000000}}"#);
+            let err = parse_spec_line(&line, 1).unwrap_err();
+            assert_eq!(err, format!("field {key:?} is out of range"));
+        }
     }
 
     #[test]

@@ -13,9 +13,18 @@
 //!    it, byte-identically, including re-materialised dump files.
 //! 4. **Retry** — fault-plan retries are bounded, deterministic, and
 //!    visible in the outcome line and summary.
+//! 5. **One config path** — `runsim`'s flags fill the same `JobSpec` as
+//!    the equivalent spec line, and bad names fail with exit code 2.
+//! 6. **Cache key stability** — the content hash of a fixed spec is
+//!    pinned, so a drift in `canonical()` cannot orphan every cached
+//!    result unnoticed.
 
 use gat::prelude::*;
-use gat_serve::{parse_batch, run_batch, BatchSummary, EngineOptions, ResultCache, SinkSlot};
+use gat_bench::{runsim_spec, Args, CliError};
+use gat_serve::spec::parse_spec_line;
+use gat_serve::{
+    parse_batch, run_batch, BatchSummary, EngineOptions, JobSpec, ResultCache, SinkSlot,
+};
 use std::path::{Path, PathBuf};
 
 const HEALTHY: &str =
@@ -80,8 +89,8 @@ fn healthy_job_payload_matches_the_one_shot_cli() {
         "{outcome_line}"
     );
 
-    // The exact construction runsim performs for
-    // `--game DOOM3 --cpus 470 --instr 20000 --frames 1 --warmup 10000`.
+    // The machine `--game DOOM3 --cpus 470 --instr 20000 --frames 1
+    // --warmup 10000` describes, built by hand rather than by `resolve`.
     let mut cfg = MachineConfig::table_one(128, 1);
     cfg.limits.cpu_instructions = 20_000;
     cfg.limits.gpu_frames = 1;
@@ -210,5 +219,87 @@ fn memory_budget_is_admission_control() {
     assert!(
         blocks[0].contains("\"attempts\":0"),
         "rejected without running"
+    );
+}
+
+/// `runsim`'s path from argv to a checked spec: its flag declaration, its
+/// flag→spec mapping and the resolve step that precedes the run.
+fn runsim_job(words: &[&str]) -> Result<JobSpec, CliError> {
+    let args = Args::parse(
+        words.iter().map(|w| w.to_string()),
+        "--game --cpus --sched --qos --fill --scale --instr --frames --warmup --seed --gpu-ways \
+         --json --faults --watchdog",
+        "--partition-channels --llc-lru",
+    )?;
+    let spec = runsim_spec(&args)?;
+    spec.resolve()?;
+    Ok(spec)
+}
+
+#[test]
+fn runsim_flags_fill_the_same_spec_as_the_spec_line() {
+    let cases = [
+        (
+            &[
+                "--game",
+                "HL2",
+                "--cpus",
+                "429,470,462,401",
+                "--qos",
+                "full",
+                "--sched",
+                "cpuprio",
+            ][..],
+            r#"{"game":"HL2","cpus":[429,470,462,401],"qos":"full","sched":"cpuprio"}"#,
+        ),
+        (
+            &[
+                "--gpu-ways",
+                "4",
+                "--partition-channels",
+                "--llc-lru",
+                "--fill",
+                "helm",
+                "--json",
+                "x",
+            ],
+            r#"{"gpu_ways":4,"partition_channels":true,"llc_lru":true,"fill":"helm"}"#,
+        ),
+    ];
+    for (words, line) in cases {
+        let mut flags = runsim_job(words).unwrap();
+        let spec = parse_spec_line(line, 1).unwrap();
+        flags.id.clone_from(&spec.id);
+        assert_eq!(flags, spec, "{words:?}");
+    }
+}
+
+#[test]
+fn runsim_rejects_bad_names_and_empty_workloads_with_exit_code_2() {
+    for words in [
+        &["--sched", "bogus"][..],
+        &["--game", "PONG"],
+        &["--cpus", ""],
+        &["--scale", "lots"],
+    ] {
+        let err = runsim_job(words).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{words:?}: {err}");
+    }
+    // The spec-line grammar drops empty `cpus` entries; so does runsim.
+    assert_eq!(runsim_job(&["--cpus", "470, "]).unwrap().cpus, vec![470]);
+}
+
+#[test]
+fn content_hash_of_a_fixed_spec_is_pinned() {
+    let spec = parse_spec_line(
+        r#"{"id":"pinned","game":"HL2","cpus":[429,470,462,401],"qos":"full","sched":"cpuprio","seed":7,"budget":{"cycles":90000000}}"#,
+        1,
+    )
+    .unwrap();
+    assert_eq!(
+        spec.content_hash(),
+        "93c210bf2edb5896",
+        "the result-cache key moved: every cached result is orphaned; \
+         if that is intended, bump SPEC_SCHEMA and re-pin"
     );
 }
