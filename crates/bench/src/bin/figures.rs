@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! figures <fig1|fig2|fig3|fig8|fig9|fig10|fig11|fig12|fig13|fig14|all>
-//!         [--scale N] [--frames N] [--instr N] [--seed N] [--threads N] [--json PATH]
-//!         [--faults SPEC]
+//!         [--scale N] [--frames N] [--instr N] [--warmup N] [--seed N] [--threads N]
+//!         [--json PATH] [--faults SPEC]
 //! ```
 //!
 //! `all` shares runs between figures that use the same experiments
@@ -25,8 +25,8 @@ use gat_bench::{
 };
 use gat_hetero::experiments::ExpConfig;
 
-const USAGE: &str = "figures <figN|all> [--scale N] [--frames N] [--instr N] [--seed N] \
-     [--threads N] [--json PATH] [--faults SPEC]";
+const USAGE: &str = "figures <figN|all> [--scale N] [--frames N] [--instr N] [--warmup N] \
+     [--seed N] [--threads N] [--json PATH] [--faults SPEC]";
 
 fn main() {
     if let Err(e) = real_main() {

@@ -38,6 +38,7 @@ fn main() {
 
 fn real_main() -> Result<(), CliError> {
     let args = Args::from_env("--jobs --out --cache --shards --dump-dir", "--stdout")?;
+    args.reject_positional()?;
     let jobs_path = args
         .get("--jobs")
         .ok_or_else(|| CliError::Usage("--jobs BATCH.jsonl is required".into()))?;

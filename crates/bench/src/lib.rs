@@ -1,16 +1,18 @@
-//! `gat-bench` — figure regeneration and performance benchmarks.
+//! `gat-bench` — figure regeneration and the command-line binaries.
 //!
-//! The [`figures`](crate::run_figure) entry points drive the experiment
-//! harness in `gat-hetero` to regenerate each paper figure as a text
-//! table; the `figures` binary wraps them in a CLI:
+//! [`figure_tables`] drives the experiment harness in `gat-hetero` to
+//! regenerate each paper figure as structured tables; the `figures`
+//! binary wraps it in a CLI:
 //!
 //! ```text
 //! cargo run --release -p gat-bench --bin figures -- all
 //! cargo run --release -p gat-bench --bin figures -- fig9 --scale 64 --frames 5
 //! ```
 //!
-//! Criterion benches (`benches/`) cover the hot simulator kernels
-//! (components) and one representative run per figure family (figures).
+//! The other binaries (`runsim`, `timeline`, `calibrate`, `ablate`,
+//! `gat-serve` and the `hotbench` CI perf gate) share [`Args`] and
+//! [`CliError`]. Performance is measured by the repository benchmark
+//! (`benchmark/README.md`), not here.
 
 use gat_hetero::experiments::{self, ExpConfig};
 use gat_hetero::report::Table;
@@ -48,7 +50,7 @@ pub enum CliError {
     /// The simulation itself aborted (liveness watchdog, paranoia
     /// invariant check, cycle-limit overrun): exit 3.
     Sim(SimError),
-    /// A performance gate tripped (`hotbench --gate`: cycles/s below the
+    /// The performance gate tripped (`hotbench`: cycles/s below the
     /// recorded anchor beyond the band): exit 3.
     Gate(String),
 }
@@ -117,7 +119,8 @@ impl Args {
     /// flags, which take the next word as their value, and its `switches`,
     /// which take none (both whitespace-separated lists). Any other
     /// `--word` is an unknown flag, and a valued flag with no word after
-    /// it is missing its value: both are [`CliError::Usage`].
+    /// it, or with a `--word` after it, is missing its value: both are
+    /// [`CliError::Usage`]. An empty value (`--cpus ""`) is a value.
     pub fn parse(
         argv: impl IntoIterator<Item = String>,
         valued: &str,
@@ -130,6 +133,7 @@ impl Args {
             if declared(valued, &arg) {
                 let value = argv
                     .next()
+                    .filter(|v| !v.starts_with("--"))
                     .ok_or_else(|| CliError::Usage(format!("{arg} needs a value")))?;
                 out.values.push((arg, value));
             } else if declared(switches, &arg) {
@@ -161,6 +165,14 @@ impl Args {
         &self.positional
     }
 
+    /// For a binary that takes flags only: a stray word is a usage error.
+    pub fn reject_positional(&self) -> Result<(), CliError> {
+        match self.positional.first() {
+            Some(word) => Err(CliError::Usage(format!("unexpected argument {word:?}"))),
+            None => Ok(()),
+        }
+    }
+
     /// A numeric flag's value, if given.
     pub fn num_opt<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, CliError> {
         self.get(flag).map(|v| parse_num(flag, v)).transpose()
@@ -186,9 +198,10 @@ pub fn fault_plan_from(cli_spec: Option<&str>) -> Result<FaultPlan, CliError> {
 /// `runsim`'s command line as a job spec. Starting from
 /// [`JobSpec::base`], every flag but `--json` sets the spec key of the
 /// same name (`--gpu-ways N` is `"gpu_ways": N`, a switch is `true`),
-/// and `GAT_FAULTS` stands in for an absent `--faults`. Names are checked
-/// when the spec is resolved.
+/// and `GAT_FAULTS` stands in for an absent `--faults`. A positional
+/// word is a usage error; names are checked when the spec is resolved.
 pub fn runsim_spec(args: &Args) -> Result<JobSpec, CliError> {
+    args.reject_positional()?;
     let mut spec = JobSpec::base("runsim");
     spec.faults = gat_sim::knobs::faults_spec().unwrap_or_default();
     let mut set = |flag: &str, value: JsonValue| {
@@ -223,77 +236,43 @@ impl From<SpecError> for CliError {
 /// # Panics
 /// Panics on an unknown figure id.
 pub fn figure_tables(id: &str, cfg: &ExpConfig) -> Vec<Table> {
-    figure_run(id, cfg).0
-}
-
-/// Like [`figure_tables`], plus the CPU cycles the figure's runs
-/// simulated (warm-up included), for throughput accounting.
-///
-/// # Panics
-/// Panics on an unknown figure id.
-pub fn figure_run(id: &str, cfg: &ExpConfig) -> (Vec<Table>, u64) {
     match id {
-        "fig1" => {
-            let m = experiments::motivation(cfg);
-            (vec![m.fig1_table()], m.sim_cycles)
-        }
-        "fig2" => {
-            let m = experiments::motivation(cfg);
-            (vec![m.fig2_table()], m.sim_cycles)
-        }
+        "fig1" => vec![experiments::motivation(cfg).fig1_table()],
+        "fig2" => vec![experiments::motivation(cfg).fig2_table()],
         "fig1+2" | "motivation" => {
             let m = experiments::motivation(cfg);
-            (vec![m.fig1_table(), m.fig2_table()], m.sim_cycles)
+            vec![m.fig1_table(), m.fig2_table()]
         }
-        "fig3" => {
-            let f = experiments::fig3(cfg);
-            (vec![f.table()], f.sim_cycles)
-        }
-        "fig8" => {
-            let f = experiments::fig8(cfg);
-            (vec![f.table()], f.sim_cycles)
-        }
+        "fig3" => vec![experiments::fig3(cfg).table()],
+        "fig8" => vec![experiments::fig8(cfg).table()],
         "fig9" => {
             let e = experiments::throttle_eval(cfg);
-            (vec![e.fig9_fps_table(), e.fig9_ws_table()], e.sim_cycles)
+            vec![e.fig9_fps_table(), e.fig9_ws_table()]
         }
         "fig9+10+11" | "throttle" => {
             let e = experiments::throttle_eval(cfg);
-            let tables = vec![
+            vec![
                 e.fig9_fps_table(),
                 e.fig9_ws_table(),
                 e.fig10_table(),
                 e.fig11_table(),
-            ];
-            (tables, e.sim_cycles)
+            ]
         }
-        "fig10" => {
-            let e = experiments::throttle_eval(cfg);
-            (vec![e.fig10_table()], e.sim_cycles)
-        }
-        "fig11" => {
-            let e = experiments::throttle_eval(cfg);
-            (vec![e.fig11_table()], e.sim_cycles)
-        }
+        "fig10" => vec![experiments::throttle_eval(cfg).fig10_table()],
+        "fig11" => vec![experiments::throttle_eval(cfg).fig11_table()],
         "fig12" => {
             let c = experiments::comparison(cfg, true);
-            (vec![c.fps_table(), c.ws_table()], c.sim_cycles)
+            vec![c.fps_table(), c.ws_table()]
         }
         "fig13" => {
             let c = experiments::comparison(cfg, false);
-            (vec![c.fps_table(), c.ws_table()], c.sim_cycles)
+            vec![c.fps_table(), c.ws_table()]
         }
         "fig13+14" => {
             let c = experiments::comparison(cfg, false);
-            (
-                vec![c.fps_table(), c.ws_table(), c.fig14_table()],
-                c.sim_cycles,
-            )
+            vec![c.fps_table(), c.ws_table(), c.fig14_table()]
         }
-        "fig14" => {
-            let c = experiments::comparison(cfg, false);
-            (vec![c.fig14_table()], c.sim_cycles)
-        }
+        "fig14" => vec![experiments::comparison(cfg, false).fig14_table()],
         other => panic!("unknown figure id {other:?}; known: {FIGURES:?}"),
     }
 }
@@ -319,14 +298,6 @@ pub fn tables_jsonl(tables: &[Table]) -> String {
     out
 }
 
-/// Regenerate one figure; returns the rendered table(s).
-///
-/// # Panics
-/// Panics on an unknown figure id.
-pub fn run_figure(id: &str, cfg: &ExpConfig) -> String {
-    render_tables(&figure_tables(id, cfg))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,7 +305,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown figure id")]
     fn unknown_figure_panics() {
-        let _ = run_figure("fig99", &ExpConfig::smoke());
+        let _ = figure_tables("fig99", &ExpConfig::smoke());
     }
 
     #[test]
@@ -405,6 +376,12 @@ mod tests {
     fn args_reject_a_missing_value() {
         let m = usage_message(parse(&["--scale", "64", "--json"], "--scale --json", ""));
         assert!(m.contains("--json needs a value"), "{m}");
+        // A flag is never taken as the value of the flag before it.
+        let words = ["--json", "--game", "DOOM3"];
+        let m = usage_message(parse(&words, "--json --game", ""));
+        assert!(m.contains("--json needs a value"), "{m}");
+        let m = usage_message(parse(&["--scale", "--llc-lru"], "--scale", "--llc-lru"));
+        assert!(m.contains("--scale needs a value"), "{m}");
         let a = parse(&["--scale", "lots"], "--scale", "").unwrap();
         assert!(matches!(a.num("--scale", 1u32), Err(CliError::Usage(_))));
     }

@@ -190,14 +190,6 @@ where
         .collect()
 }
 
-/// CPU cycles the finished runs simulated, warm-up included.
-fn sim_cycles(cfg: &ExpConfig, results: &[RunResult]) -> u64 {
-    results
-        .iter()
-        .map(|r| cfg.limits.warmup_cycles + r.cycles)
-        .sum()
-}
-
 fn run_one(mut m: MachineConfig, mix: &Mix, with_cpu: bool, with_gpu: bool) -> RunResult {
     if !with_cpu {
         m.num_cpus = m.num_cpus.max(1);
@@ -267,7 +259,10 @@ pub fn motivation(cfg: &ExpConfig) -> Motivation {
         .collect();
     Motivation {
         rows,
-        sim_cycles: sim_cycles(cfg, &results),
+        sim_cycles: results
+            .iter()
+            .map(|r| cfg.limits.warmup_cycles + r.cycles)
+            .sum(),
     }
 }
 
@@ -317,8 +312,6 @@ pub struct Fig3Row {
 #[derive(Debug, Clone)]
 pub struct Fig3 {
     pub rows: Vec<Fig3Row>,
-    /// CPU cycles simulated across all runs, warm-up included.
-    pub sim_cycles: u64,
 }
 
 /// CPU speedup when all GPU read misses bypass the LLC (W mixes).
@@ -342,10 +335,7 @@ pub fn fig3(cfg: &ExpConfig) -> Fig3 {
             cpu_speedup: results[i * 2 + 1].cores[0].ipc / results[i * 2].cores[0].ipc,
         })
         .collect();
-    Fig3 {
-        rows,
-        sim_cycles: sim_cycles(cfg, &results),
-    }
+    Fig3 { rows }
 }
 
 impl Fig3 {
@@ -379,8 +369,6 @@ pub struct Fig8Row {
 #[derive(Debug, Clone)]
 pub struct Fig8 {
     pub rows: Vec<Fig8Row>,
-    /// CPU cycles simulated across all runs, warm-up included.
-    pub sim_cycles: u64,
 }
 
 /// Percent error of dynamic frame-rate estimation across the M mixes.
@@ -406,10 +394,7 @@ pub fn fig8(cfg: &ExpConfig) -> Fig8 {
             }
         })
         .collect();
-    Fig8 {
-        rows,
-        sim_cycles: sim_cycles(cfg, &results),
-    }
+    Fig8 { rows }
 }
 
 impl Fig8 {
@@ -473,19 +458,16 @@ pub struct ThrottleRow {
 #[derive(Debug, Clone)]
 pub struct ThrottleEval {
     pub rows: Vec<ThrottleRow>,
-    /// CPU cycles simulated across all runs, warm-up included.
-    pub sim_cycles: u64,
 }
 
 /// Compute per-application standalone IPCs (each app alone on the
-/// machine) for the weighted-speedup denominators, and the CPU cycles
-/// those runs simulated.
+/// machine) for the weighted-speedup denominators.
 ///
 /// Keyed by `BTreeMap`, not a hash map: the map is only ever probed by
 /// spec id today, but a `BTreeMap` makes any future iteration ordered by
 /// construction, so the determinism contract (rule R1) cannot be
 /// broken by a refactor that starts walking it.
-fn alone_ipcs(cfg: &ExpConfig, mixes: &[Mix]) -> (BTreeMap<u16, f64>, u64) {
+fn alone_ipcs(cfg: &ExpConfig, mixes: &[Mix]) -> BTreeMap<u16, f64> {
     let mut ids: Vec<u16> = mixes
         .iter()
         .flat_map(|m| m.cpu.iter().map(|p| p.spec_id))
@@ -497,11 +479,9 @@ fn alone_ipcs(cfg: &ExpConfig, mixes: &[Mix]) -> (BTreeMap<u16, f64>, u64) {
         let m = cfg.machine(4);
         HeteroSystem::new(m, &[p], None).run()
     });
-    let ipcs = ids
-        .into_iter()
+    ids.into_iter()
         .zip(results.iter().map(|r| r.cores[0].ipc))
-        .collect();
-    (ipcs, sim_cycles(cfg, &results))
+        .collect()
 }
 
 fn weighted_speedup(r: &RunResult, alone: &BTreeMap<u16, f64>) -> f64 {
@@ -544,7 +524,7 @@ pub fn non_amenable_mixes() -> Vec<Mix> {
 /// Run the Fig. 9/10/11 evaluation.
 pub fn throttle_eval(cfg: &ExpConfig) -> ThrottleEval {
     let mixes = amenable_mixes();
-    let (alone, alone_cycles) = alone_ipcs(cfg, &mixes);
+    let alone = alone_ipcs(cfg, &mixes);
     let jobs: Vec<(usize, &Mix, QosMode)> = mixes
         .iter()
         .enumerate()
@@ -624,10 +604,7 @@ pub fn throttle_eval(cfg: &ExpConfig) -> ThrottleEval {
             }
         })
         .collect();
-    ThrottleEval {
-        rows,
-        sim_cycles: alone_cycles + sim_cycles(cfg, &results),
-    }
+    ThrottleEval { rows }
 }
 
 impl ThrottleEval {
@@ -725,8 +702,6 @@ pub struct Comparison {
     /// True when built on the amenable mixes (Fig. 12), false for the
     /// non-amenable set (Fig. 13/14).
     pub amenable: bool,
-    /// CPU cycles simulated across all runs, warm-up included.
-    pub sim_cycles: u64,
 }
 
 /// Run the proposal comparison on the given mixes.
@@ -736,7 +711,7 @@ pub fn comparison(cfg: &ExpConfig, amenable: bool) -> Comparison {
     } else {
         non_amenable_mixes()
     };
-    let (alone, alone_cycles) = alone_ipcs(cfg, &mixes);
+    let alone = alone_ipcs(cfg, &mixes);
     let jobs: Vec<(usize, &Mix, Proposal)> = mixes
         .iter()
         .enumerate()
@@ -770,11 +745,7 @@ pub fn comparison(cfg: &ExpConfig, amenable: bool) -> Comparison {
             }
         })
         .collect();
-    Comparison {
-        rows,
-        amenable,
-        sim_cycles: alone_cycles + sim_cycles(cfg, &results),
-    }
+    Comparison { rows, amenable }
 }
 
 impl Comparison {

@@ -2,8 +2,7 @@
 //!
 //! The source-level contract applies to *simulator state* — code whose
 //! behaviour feeds the byte-identical exports. Tooling (the bench CLIs,
-//! the serve engine, this linter, the proptest/criterion shims) is outside
-//! it. This module is the single place that boundary is drawn for the
+//! the serve engine, this linter, the proptest shim) is outside it. This module is the single place that boundary is drawn for the
 //! gat-lint rules, so adding a crate to the contract is a one-line change
 //! reviewed like any other. The clippy half of the contract (R1–R4, R9,
 //! R11) draws the same boundary with crate-root opt-in lines instead
@@ -55,9 +54,9 @@ pub enum FileClass {
     BenchBin,
     /// Scanned for `GAT_*` literals only (bench and serve library code).
     ToolLib,
-    /// Not linted at all: the linter and the shim crates, whose contracts
-    /// require ambient reads (criterion times wall-clock by definition;
-    /// proptest honours `PROPTEST_CASES`), and harness code outside `src/`.
+    /// Not linted at all: the linter and the proptest shim, whose contract
+    /// requires an ambient read (it honours `PROPTEST_CASES`), and harness
+    /// code outside `src/`.
     Skip,
 }
 
@@ -108,8 +107,8 @@ mod tests {
             FileClass::ToolLib
         );
         assert_eq!(classify("crates/lint/src/main.rs"), FileClass::Skip);
-        assert_eq!(classify("crates/criterion/src/lib.rs"), FileClass::Skip);
-        assert_eq!(classify("crates/bench/benches/figures.rs"), FileClass::Skip);
+        assert_eq!(classify("crates/proptest/src/lib.rs"), FileClass::Skip);
+        assert_eq!(classify("crates/bench/tests/cli.rs"), FileClass::Skip);
         assert_eq!(classify("tests/chaos.rs"), FileClass::Skip);
         assert_eq!(classify("crates/cache/src/cache.md"), FileClass::Skip);
     }

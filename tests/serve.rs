@@ -281,6 +281,9 @@ fn runsim_rejects_bad_names_and_empty_workloads_with_exit_code_2() {
         &["--game", "PONG"],
         &["--cpus", ""],
         &["--scale", "lots"],
+        // A stray word, and a flag where a value belongs.
+        &["stray"],
+        &["--json", "--game", "DOOM3", "--cpus", "470"],
     ] {
         let err = runsim_job(words).unwrap_err();
         assert_eq!(err.exit_code(), 2, "{words:?}: {err}");
