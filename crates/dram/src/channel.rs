@@ -9,18 +9,17 @@
 //! across banks) and single-burst occupancy of the 64-bit data bus are all
 //! enforced through ready-time bookkeeping.
 //!
-//! Queue organization (DESIGN.md §11): pending requests live in a
-//! generational [`Slab`] and are threaded onto per-bank intrusive FIFO
-//! lists in insertion order. FR-FCFS-equivalent policies (the common case
-//! — every figure driver's baseline) are served by a per-bank fast path
-//! that skips whole banks whose earliest command time has not arrived and
-//! scans only the issuable banks, instead of materializing a [`ReqInfo`]
-//! for every queued request every cycle. Policies with global state (SMS
-//! batching, priority boosts) still get the full [`ReqInfo`] view, built
-//! from the same lists. Note that insertion order is *not* arrival-stamp
-//! order at the rare points where the stamp's 12-bit per-cycle sequence
-//! wraps, so pick logic always compares stamps rather than trusting list
-//! position.
+//! Queue organization (DESIGN.md §11): each bank keeps its pending
+//! requests in a plain `Vec`, in insertion order. FR-FCFS-equivalent
+//! policies (the common case — every figure driver's baseline) are served
+//! by a per-bank fast path that skips whole banks whose earliest command
+//! time has not arrived and scans only the issuable banks, instead of
+//! materializing a [`ReqInfo`] for every queued request every cycle.
+//! Policies with global state (SMS batching, priority boosts) still get
+//! the full [`ReqInfo`] view, built from the same queues. Note that
+//! insertion order is *not* arrival-stamp order at the rare points where
+//! the stamp's 12-bit per-cycle sequence wraps, so pick logic always
+//! compares stamps rather than trusting queue position.
 
 use crate::energy::{DramEnergy, DramEnergyModel};
 use crate::mapping::DramCoord;
@@ -28,7 +27,6 @@ use crate::sched::{ReqInfo, SchedCtx, SchedulerImpl};
 use crate::timing::DramTiming;
 use gat_cache::Source;
 use gat_sim::faults::DelayInjector;
-use gat_sim::slab::{Slab, SlabHandle};
 use gat_sim::stats::{Counter, Log2Histogram, RunningStat};
 
 /// A block-granular memory request entering the controller.
@@ -51,20 +49,19 @@ pub struct Completion {
     pub done_at: u64,
 }
 
-/// Sentinel for "no slab handle" in intrusive links.
-const NIL: u32 = u32::MAX;
-
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     req: DramRequest,
     coord: DramCoord,
+    /// Arrival stamp: cycle × 4096 plus a 12-bit per-arrival sequence.
+    /// Stamps along a bank queue are *almost* monotonic but can dip where
+    /// the sequence field wraps (see `enqueue`), so consumers compare
+    /// stamps.
     arrival: u64,
-    /// Next request in the same bank's FIFO (raw [`SlabHandle`]; [`NIL`]
-    /// at the tail). Lists are insertion-ordered; arrival stamps along a
-    /// list are *almost* monotonic but can dip where the stamp's 12-bit
-    /// sequence field wraps (see `enqueue`), so consumers compare stamps.
-    next: u32,
 }
+
+/// Position of a queued request: `(bank, index in that bank's queue)`.
+type Slot = (usize, usize);
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Bank {
@@ -77,23 +74,6 @@ struct Bank {
     read_after_write_ready: u64,
     /// Earliest cycle a PRE may follow the last write (write recovery).
     pre_after_write_ready: u64,
-}
-
-/// Head/tail of one bank's intrusive pending-request FIFO (raw slab
-/// handles, [`NIL`] when empty).
-#[derive(Debug, Clone, Copy)]
-struct BankQueue {
-    head: u32,
-    tail: u32,
-}
-
-impl Default for BankQueue {
-    fn default() -> Self {
-        Self {
-            head: NIL,
-            tail: NIL,
-        }
-    }
 }
 
 /// Aggregate channel statistics; the per-source byte counters feed the
@@ -153,10 +133,8 @@ const WRITE_DRAIN_LO: usize = 8;
 pub struct DramChannel {
     timing: DramTiming,
     banks: Vec<Bank>,
-    /// In-flight request arena; entries are threaded onto `bank_q`.
-    slab: Slab<Pending>,
-    /// Per-bank FIFO list heads/tails (parallel to `banks`).
-    bank_q: Vec<BankQueue>,
+    /// Per-bank pending requests in insertion order (parallel to `banks`).
+    bank_q: Vec<Vec<Pending>>,
     /// Live queued requests across all banks.
     len: usize,
     capacity: usize,
@@ -171,9 +149,9 @@ pub struct DramChannel {
     /// Scratch for the generic-policy scheduler view (kept empty between
     /// ticks; unused on the FR-FCFS fast path).
     info_buf: Vec<ReqInfo>,
-    /// Slab handles parallel to `info_buf` (maps a `select` index back to
-    /// the picked entry).
-    handle_buf: Vec<SlabHandle>,
+    /// Queue positions parallel to `info_buf` (maps a `select` index back
+    /// to the picked entry).
+    handle_buf: Vec<Slot>,
     arrivals: u64,
     /// Queued writes (kept in lockstep with the queue so the per-tick
     /// write-drain hysteresis needs no queue pass).
@@ -214,8 +192,7 @@ impl DramChannel {
         Self {
             timing,
             banks: vec![Bank::default(); banks as usize],
-            slab: Slab::with_capacity(queue_capacity),
-            bank_q: vec![BankQueue::default(); banks as usize],
+            bank_q: vec![Vec::new(); banks as usize],
             len: 0,
             capacity: queue_capacity,
             bus_free_at: 0,
@@ -285,61 +262,28 @@ impl DramChannel {
         // 4096, so once per 4096 enqueues a later same-cycle push can get
         // a *smaller* stamp than its predecessor — the historical tie
         // order the goldens pin. Pick logic therefore compares stamps and
-        // never assumes list position implies stamp order.
+        // never assumes queue position implies stamp order.
         let arrival = now * 4096 + (self.arrivals & 0xFFF);
         self.arrivals += 1;
         self.queued_writes += usize::from(req.write);
         // A new arrival can change the starved verdict (it may be
         // issuable at once, or flip write eligibility).
         self.starved_until = 0;
-        let h = self.slab.alloc(Pending {
+        self.bank_q[coord.bank as usize].push(Pending {
             req,
             coord,
             arrival,
-            next: NIL,
         });
-        let q = &mut self.bank_q[coord.bank as usize];
-        if q.tail == NIL {
-            q.head = h.raw();
-        } else {
-            self.slab[SlabHandle::from_raw(q.tail)].next = h.raw();
-        }
-        q.tail = h.raw();
         self.len += 1;
     }
 
-    /// Unlink `h` from its bank FIFO and release its slab slot, returning
-    /// the entry. The walk is bounded by the bank's queue length (short:
-    /// the whole channel holds at most `capacity` requests across all
-    /// banks).
-    fn remove(&mut self, h: SlabHandle) -> Pending {
-        let bank = self.slab[h].coord.bank as usize;
-        let q = &mut self.bank_q[bank];
-        let raw = h.raw();
-        if q.head == raw {
-            let next = self.slab[h].next;
-            q.head = next;
-            if next == NIL {
-                q.tail = NIL;
-            }
-        } else {
-            let mut prev = q.head;
-            loop {
-                let prev_next = self.slab[SlabHandle::from_raw(prev)].next;
-                assert_ne!(prev_next, NIL, "request not on its bank list");
-                if prev_next == raw {
-                    let next = self.slab[h].next;
-                    self.slab[SlabHandle::from_raw(prev)].next = next;
-                    if next == NIL {
-                        q.tail = prev;
-                    }
-                    break;
-                }
-                prev = prev_next;
-            }
-        }
+    /// Take the request at `(bank, index)` off its bank queue, keeping
+    /// the rest in insertion order. The shift is bounded by the bank's
+    /// queue length (short: the whole channel holds at most `capacity`
+    /// requests across all banks).
+    fn remove(&mut self, (bank, index): Slot) -> Pending {
+        let p = self.bank_q[bank].remove(index);
         self.len -= 1;
-        let p = self.slab.free(h);
         self.queued_writes -= usize::from(p.req.write);
         p
     }
@@ -353,10 +297,7 @@ impl DramChannel {
         let mut eligible_ready = u64::MAX;
         for (bi, q) in self.bank_q.iter().enumerate() {
             let bank = &self.banks[bi];
-            let mut cursor = q.head;
-            while cursor != NIL {
-                let h = SlabHandle::from_raw(cursor);
-                let p = &self.slab[h];
+            for (i, p) in q.iter().enumerate() {
                 let (row_hit, issuable_at) = match bank.open_row {
                     Some(r) if r == p.coord.row => {
                         let mut at = bank.cmd_ready;
@@ -393,28 +334,27 @@ impl DramChannel {
                     bank: p.coord.bank,
                     row: p.coord.row,
                 });
-                self.handle_buf.push(h);
-                cursor = p.next;
+                self.handle_buf.push((bi, i));
             }
         }
         eligible_ready
     }
 
-    /// FR-FCFS pick straight off the per-bank lists: the oldest issuable
+    /// FR-FCFS pick straight off the per-bank queues: the oldest issuable
     /// eligible request, row hits first — exactly `fr_fcfs_pick` over the
     /// full [`ReqInfo`] view, without building it. Banks where no command
     /// class can start this cycle are skipped in O(1) (`cmd_ready` gates
     /// every class); issuable banks are walked in full, comparing arrival
     /// stamps directly. The walk must NOT stop at the first candidate:
     /// the per-cycle sequence bits of the arrival stamp wrap every 4096
-    /// arrivals, so a bank FIFO is insertion-ordered but not strictly
+    /// arrivals, so a bank queue is insertion-ordered but not strictly
     /// stamp-ordered across a wrap, and the pick contract is "smallest
     /// stamp", not "first queued".
-    fn frfcfs_fast_pick(&self, now: u64, writes_eligible: bool) -> Option<SlabHandle> {
-        let mut best_hit: Option<(u64, u32)> = None; // (arrival, raw handle)
-        let mut best_miss: Option<(u64, u32)> = None;
+    fn frfcfs_fast_pick(&self, now: u64, writes_eligible: bool) -> Option<Slot> {
+        let mut best_hit: Option<(u64, Slot)> = None; // (arrival, position)
+        let mut best_miss: Option<(u64, Slot)> = None;
         for (bi, q) in self.bank_q.iter().enumerate() {
-            if q.head == NIL {
+            if q.is_empty() {
                 continue;
             }
             let bank = &self.banks[bi];
@@ -428,15 +368,12 @@ impl DramChannel {
                     if self.act_any_ready > now {
                         continue;
                     }
-                    let mut cursor = q.head;
-                    while cursor != NIL {
-                        let p = &self.slab[SlabHandle::from_raw(cursor)];
+                    for (i, p) in q.iter().enumerate() {
                         if (!p.req.write || writes_eligible)
                             && best_miss.is_none_or(|(arr, _)| p.arrival < arr)
                         {
-                            best_miss = Some((p.arrival, cursor));
+                            best_miss = Some((p.arrival, (bi, i)));
                         }
-                        cursor = p.next;
                     }
                 }
                 Some(open) => {
@@ -450,31 +387,26 @@ impl DramChannel {
                         // gating; writes ineligible — nothing can issue.
                         continue;
                     }
-                    let mut cursor = q.head;
-                    while cursor != NIL {
-                        let p = &self.slab[SlabHandle::from_raw(cursor)];
+                    for (i, p) in q.iter().enumerate() {
                         if !p.req.write || writes_eligible {
                             if p.coord.row == open {
                                 if (p.req.write || hit_read_ok)
                                     && best_hit.is_none_or(|(arr, _)| p.arrival < arr)
                                 {
-                                    best_hit = Some((p.arrival, cursor));
+                                    best_hit = Some((p.arrival, (bi, i)));
                                 }
                             } else if conflict_ok
                                 && best_miss.is_none_or(|(arr, _)| p.arrival < arr)
                             {
-                                best_miss = Some((p.arrival, cursor));
+                                best_miss = Some((p.arrival, (bi, i)));
                             }
                         }
-                        cursor = p.next;
                     }
                 }
             }
         }
         // Row hits beat non-hits globally; within a class, oldest first.
-        best_hit
-            .or(best_miss)
-            .map(|(_, raw)| SlabHandle::from_raw(raw))
+        best_hit.or(best_miss).map(|(_, slot)| slot)
     }
 
     /// Earliest `issuable_at` over eligible queued requests (`u64::MAX`
@@ -484,9 +416,7 @@ impl DramChannel {
         let mut ready = u64::MAX;
         for (bi, q) in self.bank_q.iter().enumerate() {
             let bank = &self.banks[bi];
-            let mut cursor = q.head;
-            while cursor != NIL {
-                let p = &self.slab[SlabHandle::from_raw(cursor)];
+            for p in q {
                 if !p.req.write || writes_eligible {
                     let at = match bank.open_row {
                         Some(r) if r == p.coord.row => {
@@ -504,7 +434,6 @@ impl DramChannel {
                     };
                     ready = ready.min(at);
                 }
-                cursor = p.next;
             }
         }
         ready
@@ -564,7 +493,7 @@ impl DramChannel {
         // writes).
         debug_assert_eq!(
             self.queued_writes,
-            self.slab.iter().filter(|(_, p)| p.req.write).count()
+            self.bank_q.iter().flatten().filter(|p| p.req.write).count()
         );
         let writes = self.queued_writes;
         if writes >= WRITE_DRAIN_HI {
@@ -575,8 +504,8 @@ impl DramChannel {
         let writes_eligible = self.draining_writes || writes == self.len;
         if self.scheduler.frfcfs_equivalent(ctx) {
             match self.frfcfs_fast_pick(now, writes_eligible) {
-                Some(h) => {
-                    let p = self.remove(h);
+                Some(slot) => {
+                    let p = self.remove(slot);
                     self.issue(p, now);
                 }
                 None if self.sched_starved_skip => {
@@ -598,8 +527,8 @@ impl DramChannel {
         self.info_buf.clear();
         self.handle_buf.clear();
         match picked {
-            Some(h) => {
-                let p = self.remove(h);
+            Some(slot) => {
+                let p = self.remove(slot);
                 self.issue(p, now);
             }
             None if self.sched_starved_skip => {
@@ -717,43 +646,35 @@ impl DramChannel {
         out.sort_by_key(|c| (c.done_at, c.id));
     }
 
-    /// Validate queue bookkeeping against the slab (GAT_PARANOIA sweeps):
-    /// every slab entry is on exactly one bank list, counts agree, and
-    /// each bank list is ordered by arrival *cycle* (stamps themselves may
-    /// dip within a cycle where the 12-bit sequence field wraps).
+    /// Validate queue bookkeeping (GAT_PARANOIA sweeps): every entry is
+    /// on its own bank's queue, each queue is ordered by arrival *cycle*
+    /// (stamps themselves may dip within a cycle where the 12-bit
+    /// sequence field wraps), and the counts agree.
     pub fn check_queue_invariants(&self) {
-        self.slab.validate();
-        assert_eq!(self.slab.len(), self.len, "queue length drift");
-        let mut on_lists = 0usize;
+        let mut queued = 0usize;
+        let mut writes = 0usize;
         for (bi, q) in self.bank_q.iter().enumerate() {
-            let mut cursor = q.head;
             let mut last_cycle = 0u64;
-            let mut last = NIL;
-            while cursor != NIL {
-                let p = self
-                    .slab
-                    .get(SlabHandle::from_raw(cursor))
-                    .expect("bank list points at freed slot");
-                assert_eq!(p.coord.bank as usize, bi, "request on wrong bank list");
+            for p in q {
+                assert_eq!(p.coord.bank as usize, bi, "request on wrong bank queue");
                 assert!(
                     p.arrival / 4096 >= last_cycle,
-                    "bank list out of arrival-cycle order"
+                    "bank queue out of arrival-cycle order"
                 );
                 last_cycle = p.arrival / 4096;
-                on_lists += 1;
-                assert!(on_lists <= self.len, "bank list cycle");
-                last = cursor;
-                cursor = p.next;
+                writes += usize::from(p.req.write);
             }
-            assert_eq!(q.tail, last, "bank tail out of sync");
+            queued += q.len();
         }
-        assert_eq!(on_lists, self.len, "slab entry missing from bank lists");
+        assert_eq!(queued, self.len, "queue length drift");
+        assert_eq!(writes, self.queued_writes, "queued-write count drift");
     }
 
     /// Drop all queued and in-flight state (phase boundaries).
     pub fn reset_state(&mut self) {
-        self.slab.clear();
-        self.bank_q.fill(BankQueue::default());
+        for q in &mut self.bank_q {
+            q.clear();
+        }
         self.len = 0;
         self.queued_writes = 0;
         self.starved_until = 0;

@@ -169,7 +169,7 @@ impl SchedulerImpl {
     /// stateless, and picking the oldest issuable+eligible request with
     /// row hits preferred (`fr_fcfs_pick` over the whole queue). The
     /// channel then skips both the [`ReqInfo`] rebuild *and* the `select`
-    /// call, running its intrusive per-bank fast path instead.
+    /// call, running its per-bank fast path instead.
     #[inline]
     pub fn frfcfs_equivalent(&self, ctx: SchedCtx) -> bool {
         match self {

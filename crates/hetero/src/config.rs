@@ -266,7 +266,7 @@ impl MachineConfig {
             + u64::from(self.num_cpus) * (self.hierarchy.l1_bytes + self.hierarchy.l2_bytes)
                 / BLOCK;
         let cache_state = cache_blocks * 32;
-        // Request slab entries, MSHRs, DRAM queues, ring flights: each
+        // In-flight transactions, MSHRs, DRAM queues, ring flights: each
         // entry is a few pointers plus timing state.
         let queue_state = (self.llc_mshrs as u64
             + self.llc_queue as u64

@@ -1,10 +1,9 @@
 //! Structured run events: the machine-readable narrative of a simulation.
 //!
-//! [`RunEvent`] generalizes the old raw-`GpuEvent` plumbing in
-//! `HeteroSystem::drain_frame_events`: frame boundaries, QoS controller
-//! transitions (FRPU phase changes and re-learns, throttle engage/adjust/
-//! release), DRAM CPU-priority flips, and periodic registry snapshots all
-//! flow through one bounded ring ([`gat_sim::events::EventBus`]) with a
+//! [`RunEvent`] is the one observable stream of a run: frame
+//! boundaries, QoS controller transitions (FRPU phase changes and
+//! re-learns, throttle engage/adjust/release), DRAM CPU-priority flips,
+//! and periodic registry snapshots all flow through one bounded ring ([`gat_sim::events::EventBus`]) with a
 //! subscriber API on [`crate::HeteroSystem`]. Every event serializes to one
 //! JSONL object via [`RunEvent::to_json`]; the `type` field discriminates.
 

@@ -56,10 +56,6 @@ pub struct HeteroSystem {
     inval_buf: Vec<BackInval>,
     event_buf: Vec<GpuEvent>,
     qos_event_buf: Vec<QosEvent>,
-    /// GPU events retained for external observers (timeline tools); only
-    /// populated after `observe_events(true)`.
-    observed_events: Vec<GpuEvent>,
-    observe_events: bool,
     label: String,
     /// Structured run events (frame boundaries, QoS transitions, DRAM
     /// priority flips, epoch snapshots) on a bounded ring.
@@ -234,8 +230,6 @@ impl HeteroSystem {
             inval_buf: Vec::new(),
             event_buf: Vec::new(),
             qos_event_buf: Vec::new(),
-            observed_events: Vec::new(),
-            observe_events: false,
             label,
             run_events: EventBus::new(RUN_EVENT_RING),
             qos_sub,
@@ -268,17 +262,6 @@ impl HeteroSystem {
         self.now
     }
 
-    /// Retain GPU events for [`Self::drain_frame_events`]. Off by default
-    /// (the buffer would grow unboundedly in long runs).
-    pub fn observe_events(&mut self, on: bool) {
-        self.observe_events = on;
-    }
-
-    /// Drain retained GPU events (requires [`Self::observe_events`]).
-    pub fn drain_frame_events(&mut self, out: &mut Vec<GpuEvent>) {
-        out.append(&mut self.observed_events);
-    }
-
     /// Register a consumer of the structured [`RunEvent`] stream.
     pub fn subscribe_run_events(&mut self) -> SubscriberId {
         self.run_events.subscribe()
@@ -287,11 +270,6 @@ impl HeteroSystem {
     /// Deliver all run events published since this subscriber's last poll.
     pub fn poll_run_events(&mut self, sub: SubscriberId) -> Poll<RunEvent> {
         self.run_events.poll(sub)
-    }
-
-    /// The underlying run-event ring (published/dropped accounting).
-    pub fn run_event_bus(&self) -> &EventBus<RunEvent> {
-        &self.run_events
     }
 
     /// Emit a [`RunEvent::EpochSnapshot`] every `interval` CPU cycles
@@ -555,9 +533,6 @@ impl HeteroSystem {
                             cpu_retired,
                         });
                     }
-                }
-                if self.observe_events {
-                    self.observed_events.extend_from_slice(&self.event_buf);
                 }
                 self.event_buf.clear();
                 self.uncore.gpu_tolerance = gpu.latency_tolerance();

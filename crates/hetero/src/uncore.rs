@@ -775,7 +775,7 @@ impl Uncore {
                     ch.queue_capacity()
                 ));
             }
-            // Slab/intrusive-list structural sweep (panics on violation).
+            // Per-bank queue structural sweep (panics on violation).
             ch.check_queue_invariants();
         }
         Ok(())

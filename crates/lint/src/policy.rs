@@ -24,10 +24,10 @@ pub const SIM_CRATES: &[&str] = &[
 ];
 
 /// Modules on the per-cycle tick path, subject to the allocation rule
-/// R8. These are the layers the busy-path overhaul (DESIGN.md §11) moved
-/// onto slabs, intrusive lists and reused scratch buffers; a heap
-/// allocation reappearing in one of them is per-tick cost until proven
-/// otherwise with a reasoned pragma. Constructors (`fn new`) are exempt
+/// R8. These layers keep their per-cycle state in containers allocated
+/// at setup and reused across ticks (DESIGN.md §11); a fresh heap
+/// allocation in one of them is per-tick cost until proven otherwise
+/// with a reasoned pragma. Constructors (`fn new`) are exempt
 /// inside these files — pools are *supposed* to allocate at setup.
 pub const TICK_PATH_MODULES: &[&str] = &[
     "crates/cache/src/mshr.rs",
@@ -37,7 +37,6 @@ pub const TICK_PATH_MODULES: &[&str] = &[
     "crates/gpu/src/caches.rs",
     "crates/hetero/src/uncore.rs",
     "crates/ring/src/lib.rs",
-    "crates/sim/src/slab.rs",
 ];
 
 /// Directory holding the bench binaries whose `--flag` vocabulary rule

@@ -13,10 +13,10 @@ pub enum RuleId {
     /// CLI flags / `GAT_*` knobs missing from the documentation.
     R6,
     /// Per-tick heap allocation (`Vec::new`, `vec![..]`, `Box::new`,
-    /// `.collect::<Vec<..>>()`) in a tick-path module. PR 8 moved the
-    /// busy-path request state onto slabs, intrusive lists and reused
-    /// scratch buffers; a fresh allocation on the tick path silently
-    /// re-opens that per-cycle cost. Constructors (`fn new`) are exempt —
+    /// `.collect::<Vec<..>>()`) in a tick-path module. Tick-path state
+    /// lives in containers allocated at setup and reused across ticks;
+    /// a fresh allocation on the tick path silently re-opens a per-cycle
+    /// cost. Constructors (`fn new`) are exempt —
     /// setup-time allocation is the point of a pool.
     R8,
     /// Unit confusion: one expression mixing `Cycle`-flavoured values
@@ -75,7 +75,7 @@ impl RuleId {
             RuleId::R5 => "use f64::total_cmp for ordering, or guard the comparison against NaN explicitly",
             RuleId::R6 => "document the name, or remove the dead flag/knob",
             RuleId::R8 => {
-                "reuse a struct-owned scratch buffer or slab handle; allocation belongs in the constructor, not the tick"
+                "reuse a struct-owned container (clear it, keep its storage); allocation belongs in the constructor, not the tick"
             }
             RuleId::R12 => {
                 "convert at the boundary (cycles_per_ms) and keep each expression in one unit; rename the variable if it is not milliseconds"

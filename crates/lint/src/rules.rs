@@ -291,8 +291,8 @@ fn check_r5_nan(file: &str, toks: &[Token], in_test: &[bool], raw: &mut Vec<Find
 }
 
 /// R8: heap allocation in a tick-path module (`policy::TICK_PATH_MODULES`).
-/// The busy-path overhaul (DESIGN.md §11) hoisted per-cycle allocation
-/// into constructor-time pools — slabs, intrusive free lists, reused
+/// Tick-path state lives in containers allocated at setup and reused
+/// across ticks (DESIGN.md §11) — per-bank queues, the ring's heap,
 /// scratch buffers — so a `Vec::new`/`vec![..]`/`Box::new`/
 /// `.collect::<Vec<..>>()` reappearing here is per-tick churn until a
 /// reasoned pragma says otherwise. Bodies of `fn new` are exempt: that is

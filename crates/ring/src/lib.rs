@@ -71,23 +71,10 @@ impl RingTopology {
     }
 }
 
-/// An overflow in-flight message carrying an opaque token, min-ordered by
-/// `(deliver_at, seq)` through the [`Reverse`] wrapper in the heap — the
-/// sequence tie-break fixes delivery order for same-cycle arrivals.
+/// An in-flight message `(deliver_at, seq, token)`, min-ordered through
+/// the [`Reverse`] wrapper — the sequence tie-break fixes delivery order
+/// for same-cycle arrivals.
 type Flight = Reverse<(Cycle, u64, u64)>;
-
-/// A message parked on the timing wheel: `(deliver_at, seq, token)`.
-/// Buckets stay sorted by `(deliver_at, seq)`, so tuple order is the
-/// delivery order.
-type Parked = (Cycle, u64, u64);
-
-/// Wheel span: deliveries up to `WHEEL_SLOTS - 1` cycles out go straight
-/// into a pooled per-cycle bucket; anything farther (possible only under
-/// extreme injection backlog or chaos-injector replay delays — the ring
-/// diameter itself is 4 hops) spills to a small overflow heap. Power of
-/// two so the bucket index is a mask.
-const WHEEL_SLOTS: usize = 256;
-const WHEEL_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 
 /// A ring instance that transports opaque tokens with hop latency plus
 /// injection serialization per (stop, direction).
@@ -115,19 +102,9 @@ pub struct Ring {
     inject_free: Vec<[Cycle; 2]>,
     /// Injections permitted per cycle per direction, per stop.
     widths: Vec<u32>,
-    /// Timing wheel (DESIGN.md §11): pooled per-cycle delivery buckets,
-    /// indexed by `deliver_at & WHEEL_MASK`. Bucket storage is reused
-    /// across the run, so the steady state allocates nothing and both
-    /// send and drain are O(1) per message (the heap this replaces paid
-    /// O(log n) sift per op).
-    wheel: Vec<Vec<Parked>>,
-    /// Messages parked on the wheel.
-    wheel_live: usize,
-    /// All cycles `< base` have been drained; wheel buckets only hold
-    /// deliveries in `[base, base + WHEEL_SLOTS)`.
-    base: Cycle,
-    /// Deliveries beyond the wheel horizon, ordered `(deliver_at, seq)`.
-    overflow: BinaryHeap<Flight>,
+    /// Messages in flight, popped in `(deliver_at, seq)` order
+    /// (DESIGN.md §11). The heap keeps its storage across the run.
+    in_flight: BinaryHeap<Flight>,
     seq: u64,
     /// Optional chaos injector: a dropped message is replayed after a NACK
     /// round-trip, which we model as an added delivery delay.
@@ -144,10 +121,7 @@ impl Ring {
             topo,
             inject_free: vec![[0, 0]; usize::from(topo.stops)],
             widths: vec![1; usize::from(topo.stops)],
-            wheel: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            wheel_live: 0,
-            base: 0,
-            overflow: BinaryHeap::new(),
+            in_flight: BinaryHeap::new(),
             seq: 0,
             fault: None,
             sent: Counter::new(),
@@ -198,108 +172,31 @@ impl Ring {
             deliver_at += inj.delay();
         }
         self.seq += 1;
-        // Catch the wheel up over a fully idle gap so a long quiet span
-        // never forces in-horizon deliveries onto the overflow heap.
-        if self.wheel_live == 0 && self.overflow.is_empty() && self.base < now {
-            self.base = now;
-        }
-        if deliver_at >= self.base + WHEEL_SLOTS as Cycle {
-            self.overflow.push(Reverse((deliver_at, self.seq, token)));
-        } else {
-            // A past-due delivery (same-stop send after its cycle was
-            // drained) parks on the base bucket and goes out next drain.
-            let due = deliver_at.max(self.base);
-            let b = &mut self.wheel[(due & WHEEL_MASK) as usize];
-            // Keep the bucket sorted by `(deliver_at, seq)`. The common
-            // case appends: same-bucket dues share a cycle, and seq
-            // rises monotonically. Only a past-due park can sift.
-            let mut i = b.len();
-            while i > 0 && (b[i - 1].0, b[i - 1].1) > (deliver_at, self.seq) {
-                i -= 1;
-            }
-            b.insert(i, (deliver_at, self.seq, token));
-            self.wheel_live += 1;
-        }
+        self.in_flight.push(Reverse((deliver_at, self.seq, token)));
         self.sent.inc();
         deliver_at
     }
 
     /// Pop every message due at or before `now`, in delivery order
-    /// (`(deliver_at, seq)`-ascending, exactly as a global min-heap
-    /// would deliver them).
+    /// (`(deliver_at, seq)`-ascending). A message sent for a cycle that
+    /// was already drained (a same-stop send) goes out on the next drain.
     pub fn drain_delivered(&mut self, now: Cycle, out: &mut Vec<u64>) {
-        if now < self.base {
-            // Re-draining an already-passed cycle: only past-due parks
-            // (sorted prefix of the base bucket) can be due — overflow
-            // entries always lie beyond `base`.
-            let b = &mut self.wheel[(self.base & WHEEL_MASK) as usize];
-            let k = b.iter().take_while(|e| e.0 <= now).count();
-            for e in b.drain(..k) {
-                out.push(e.2);
-                self.delivered.inc();
-            }
-            self.wheel_live -= k;
-            return;
-        }
-        if self.wheel_live > 0 {
-            let last = now.min(self.base + (WHEEL_SLOTS as Cycle - 1));
-            for c in self.base..=last {
-                let bi = (c & WHEEL_MASK) as usize;
-                // Reused bucket storage, restored empty below.
-                let mut b = std::mem::take(&mut self.wheel[bi]);
-                let mut i = 0;
-                // Merge the bucket with overflow entries due at `c` so a
-                // horizon spill still delivers in global `(at, seq)` order.
-                while i < b.len() {
-                    let (bat, bseq, btok) = b[i];
-                    match self.overflow.peek() {
-                        Some(&Reverse((hat, hseq, _))) if hat <= c && (hat, hseq) < (bat, bseq) => {
-                            let Reverse((_, _, t)) = self.overflow.pop().expect("peeked");
-                            out.push(t);
-                        }
-                        _ => {
-                            out.push(btok);
-                            i += 1;
-                        }
-                    }
-                    self.delivered.inc();
-                }
-                self.wheel_live -= i;
-                b.clear();
-                self.wheel[bi] = b;
-                while let Some(&Reverse((at, _, token))) = self.overflow.peek() {
-                    if at > c {
-                        break;
-                    }
-                    self.overflow.pop();
-                    out.push(token);
-                    self.delivered.inc();
-                }
-            }
-        }
-        // Wheel fully drained (or empty): anything still due is overflow.
-        while let Some(&Reverse((at, _, token))) = self.overflow.peek() {
+        while let Some(&Reverse((at, _, token))) = self.in_flight.peek() {
             if at > now {
                 break;
             }
-            self.overflow.pop();
+            self.in_flight.pop();
             out.push(token);
             self.delivered.inc();
         }
-        self.base = now + 1;
     }
 
     pub fn idle(&self) -> bool {
-        self.wheel_live == 0 && self.overflow.is_empty()
+        self.in_flight.is_empty()
     }
 
     pub fn reset_state(&mut self) {
-        for b in &mut self.wheel {
-            b.clear();
-        }
-        self.wheel_live = 0;
-        self.base = 0;
-        self.overflow.clear();
+        self.in_flight.clear();
         self.inject_free.fill([0, 0]);
     }
 
@@ -412,8 +309,8 @@ mod tests {
         r.drain_delivered(10, &mut out);
         assert_eq!(out, vec![1]);
         out.clear();
-        // Far beyond the wheel horizon: the idle catch-up in `send` must
-        // keep this on the wheel, and the drain must cross the gap.
+        // A send far past the last drained cycle: the drain must not
+        // release it early and must deliver it once its cycle comes.
         let t = r.send(1_000_000, StopId(0), StopId(3), 2);
         assert_eq!(t, 1_000_003);
         r.drain_delivered(t - 1, &mut out);
@@ -427,13 +324,13 @@ mod tests {
     fn beyond_horizon_spill_keeps_delivery_order() {
         use gat_sim::rng::SimRng;
         let mut r = Ring::new(TOPO);
-        // Chaos delay of 400 pushes the first message past the wheel
-        // horizon (256) into the overflow heap.
+        // Chaos delay of 400 pushes the first message more than 256
+        // cycles out, well past every uncontended delivery.
         r.set_fault_injector(DelayInjector::new(1.0, 400, 1, SimRng::new(1).fork("ring")));
         let far = r.send(0, StopId(0), StopId(1), 10);
-        assert!(far >= WHEEL_SLOTS as Cycle, "test must exercise overflow");
+        assert!(far >= 256, "test must send a long-delayed message");
         r.fault = None;
-        // A same-cycle wheel delivery and the spilled one must both come
+        // A same-cycle near delivery and the delayed one must both come
         // out, ordered by (deliver_at, seq).
         let near = r.send(0, StopId(0), StopId(2), 20);
         assert!(near < far);
@@ -441,15 +338,15 @@ mod tests {
         r.drain_delivered(far, &mut out);
         assert_eq!(out, vec![20, 10]);
         assert!(r.idle());
-        // Same-deliver-cycle merge: wheel entry vs overflow entry.
+        // Same delivery cycle, long-delayed message sent first.
         r.set_fault_injector(DelayInjector::new(1.0, 400, 1, SimRng::new(1).fork("ring")));
-        let a = r.send(far, StopId(0), StopId(1), 30); // spilled, seq first
+        let a = r.send(far, StopId(0), StopId(1), 30); // delayed, seq first
         r.fault = None;
-        let b = r.send(a - 1, StopId(0), StopId(1), 40); // wheel, arrives a
+        let b = r.send(a - 1, StopId(0), StopId(1), 40); // near, arrives a
         assert_eq!(a, b);
         out.clear();
         r.drain_delivered(a, &mut out);
-        assert_eq!(out, vec![30, 40], "same-cycle spill must win by seq");
+        assert_eq!(out, vec![30, 40], "same-cycle delayed send must win by seq");
     }
 
     #[test]
@@ -459,8 +356,8 @@ mod tests {
         r.send(0, StopId(0), StopId(1), 1);
         r.drain_delivered(5, &mut out);
         out.clear();
-        // Same-stop message dated at an already-drained cycle: parked,
-        // delivered on the next drain even of the same cycle.
+        // Same-stop message dated at an already-drained cycle: delivered
+        // on the next drain even of the same cycle.
         let t = r.send(5, StopId(2), StopId(2), 7);
         assert_eq!(t, 5);
         r.drain_delivered(5, &mut out);

@@ -31,7 +31,6 @@ pub mod json;
 pub mod knobs;
 pub mod metrics;
 pub mod rng;
-pub mod slab;
 pub mod stats;
 
 /// Global simulation time, measured in CPU cycles at 4 GHz.

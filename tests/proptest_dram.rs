@@ -1,15 +1,24 @@
 //! Property tests on the DRAM channel: conservation (every request
-//! completes exactly once), timing sanity, and scheduler-independence of
-//! conservation.
+//! completes exactly once), timing sanity, scheduler-independence of
+//! conservation, and per-bank queue bookkeeping after every tick.
 
 use gat::cache::Source;
 use gat::dram::{
-    DramAddressMap, DramChannel, DramRequest, DramTiming, SchedCtx, SchedulerImpl, SchedulerKind,
+    Completion, DramAddressMap, DramChannel, DramRequest, DramTiming, SchedCtx, SchedulerImpl,
+    SchedulerKind,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
 
 const MAP: DramAddressMap = DramAddressMap::table_one();
+
+/// One channel cycle: tick, check the queue bookkeeping (so removal from
+/// the middle of a bank queue is checked under every scheduler), drain.
+fn step(ch: &mut DramChannel, now: u64, ctx: SchedCtx, out: &mut Vec<Completion>) {
+    ch.tick(now, ctx);
+    ch.check_queue_invariants();
+    ch.drain_completions(now, out);
+}
 
 fn drive(
     kind: SchedulerKind,
@@ -30,8 +39,7 @@ fn drive(
             addr + 64
         };
         while !ch.can_accept() {
-            ch.tick(now, ctx);
-            ch.drain_completions(now, &mut out);
+            step(&mut ch, now, ctx, &mut out);
             now += 1;
             assert!(now < 1_000_000, "wedged while enqueuing");
         }
@@ -47,8 +55,7 @@ fn drive(
         );
     }
     while ch.busy() {
-        ch.tick(now, ctx);
-        ch.drain_completions(now, &mut out);
+        step(&mut ch, now, ctx, &mut out);
         now += 1;
         assert!(now < 10_000_000, "wedged while draining");
     }
@@ -77,13 +84,11 @@ fn drive_gapped(
         // The gap lets in-flight bursts land and banks go cold, so the
         // next arrivals hit genuine starved stretches (tRP/tRCD waits).
         for _ in 0..gap {
-            ch.tick(now, SchedCtx::default());
-            ch.drain_completions(now, &mut out);
+            step(&mut ch, now, SchedCtx::default(), &mut out);
             now += 1;
         }
         while !ch.can_accept() {
-            ch.tick(now, SchedCtx::default());
-            ch.drain_completions(now, &mut out);
+            step(&mut ch, now, SchedCtx::default(), &mut out);
             now += 1;
             assert!(now < 1_000_000, "wedged while enqueuing");
         }
@@ -99,8 +104,7 @@ fn drive_gapped(
         );
     }
     while ch.busy() {
-        ch.tick(now, SchedCtx::default());
-        ch.drain_completions(now, &mut out);
+        step(&mut ch, now, SchedCtx::default(), &mut out);
         now += 1;
         assert!(now < 10_000_000, "wedged while draining");
     }
