@@ -18,9 +18,9 @@ static_t0=$SECONDS
 echo "== static analysis: fmt --check =="
 cargo fmt --check
 
-echo "== static analysis: gat-lint (four token rules) =="
-# R5, R6, R8, R12: NaN-unsafe ordering, docs/source drift, per-tick heap
-# allocation, cycle/millisecond unit mixing. The JSONL artifact —
+echo "== static analysis: gat-lint (three token rules) =="
+# R6, R8, R12: docs/source drift, per-tick heap allocation,
+# cycle/millisecond unit mixing. The JSONL artifact —
 # lint_finding lines plus one per-rule lint_summary trailer — is kept at
 # /tmp/gat_ci_lint.jsonl whether or not the stage passes.
 set +e
@@ -43,7 +43,7 @@ echo "static stage: clean in ${static_elapsed}s (artifact: /tmp/gat_ci_lint.json
 echo "== static analysis: clippy -D warnings =="
 # Outside the 60 s budget on purpose: clippy type-checks every target,
 # so its wall time tracks the build, not the linter. It also carries the
-# determinism rules R1-R4, R9 and R11 (clippy.toml plus the crate-root
+# determinism rules R1-R5, R9 and R11 (clippy.toml plus the crate-root
 # opt-ins, DESIGN.md §10); the expect fixtures in
 # crates/sim/src/clippy_fixtures.rs fail this stage if a clippy.toml
 # entry stops matching. --workspace is what reaches the member crates'
@@ -138,6 +138,35 @@ diff <(grep -v '"type":"job_outcome"\|"type":"batch_summary"' \
         /tmp/gat_serve_ci/healthy_out.jsonl) \
      /tmp/gat_serve_ci/healthy_runsim.jsonl
 echo "one config path: runsim and gat-serve wrote identical result lines"
+
+echo "== CLI smoke: timeline, calibrate, ablate (10 min cap each) =="
+# The other single-run CLIs resolve through JobSpec like runsim, and
+# timeline advances through the same checked step as try_run (DESIGN.md
+# §9, §12). Each must run end to end and write every row it owes.
+timeout 600 cargo run --release -q -p gat-bench --bin timeline -- \
+    7 --scale 1024 --frames 3 --json /tmp/gat_ci_timeline.jsonl >/dev/null
+tl_frames=$(grep -cF '"type":"frame_boundary"' /tmp/gat_ci_timeline.jsonl || true)
+if [[ $tl_frames -ne 3 ]] ||
+    ! tail -n 1 /tmp/gat_ci_timeline.jsonl | grep -qF '"type":"registry_snapshot"'; then
+    echo "CLI smoke: timeline wrote $tl_frames/3 frame_boundary lines" \
+        "or no final registry_snapshot" >&2
+    exit 1
+fi
+# One row per Table II game (14 titles) under the header.
+cal_rows=$(timeout 600 cargo run --release -q -p gat-bench --bin calibrate -- \
+    games --scale 1024 | tail -n +2 | wc -l)
+if [[ $cal_rows -ne 14 ]]; then
+    echo "CLI smoke: calibrate games printed $cal_rows/14 game rows" >&2
+    exit 1
+fi
+timeout 600 cargo run --release -q -p gat-bench --bin ablate -- \
+    7 --scale 1024 --json /tmp/gat_ci_ablate.jsonl >/dev/null
+ab_rows=$(grep -c '^{"type":"ablation_variant"' /tmp/gat_ci_ablate.jsonl || true)
+if [[ $ab_rows -ne 11 ]]; then
+    echo "CLI smoke: ablate wrote $ab_rows/11 ablation_variant lines" >&2
+    exit 1
+fi
+echo "CLI smoke: timeline 3 frames, calibrate 14 games, ablate 11 variants"
 
 echo "== paranoia invariant sweep (10 min cap) =="
 # Run the golden snapshot under GAT_PARANOIA=1: every tick re-checks the

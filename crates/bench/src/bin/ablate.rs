@@ -15,18 +15,21 @@
 //! * full                — the proposal
 //! * full-strict         — full, with Fig. 6's hard W_G reset on overshoot
 //! * full-llc-lru        — full, with an LRU LLC instead of SRRIP
+//! * full-llc-drrip      — full, with a DRRIP LLC instead of SRRIP
 //! * full-sms-dram       — full throttling over an SMS-0.9 DRAM scheduler
+//! * static-llc-4w       — 4 of the LLC's 16 ways reserved for the GPU
+//! * static-dram-ch      — one DRAM channel each for the CPUs and the GPU
+//! * static-prio         — CPU requests always first at DRAM
 
 #![warn(clippy::disallowed_methods)]
 
 use std::io::Write;
 
-use gat_bench::{fail, parse_num, Args, CliError};
+use gat_bench::{fail, mix_arg, with_mix, Args, CliError};
 use gat_cache::ReplacementPolicy;
-use gat_dram::SchedulerKind;
-use gat_hetero::{HeteroSystem, MachineConfig, QosMode, RunLimits, RunResult};
+use gat_hetero::{HeteroSystem, RunResult};
+use gat_serve::JobSpec;
 use gat_sim::json::Obj;
-use gat_workloads::mix_m;
 
 fn main() {
     if let Err(e) = real_main() {
@@ -36,16 +39,11 @@ fn main() {
 
 fn real_main() -> Result<(), CliError> {
     let args = Args::from_env("--scale --json", "")?;
-    let k: usize = match args.positional().first() {
-        Some(s) => parse_num("mix-number", s)?,
-        None => 7,
-    };
-    if !(1..=14).contains(&k) {
-        return Err(CliError::Usage(format!(
-            "mix-number must be 1..=14, got {k}"
-        )));
-    }
-    let scale: u32 = args.num("--scale", 128)?;
+    let mix = mix_arg(&args)?;
+    let mut base = with_mix(JobSpec::base("ablate"), &mix);
+    base.seed = 77;
+    base.max_cycles = Some(4_000_000_000);
+    base.scale = args.num("--scale", base.scale)?;
     let json_path = args.get("--json");
     let mut json = match json_path {
         Some(p) => Some(std::io::BufWriter::new(
@@ -53,101 +51,58 @@ fn real_main() -> Result<(), CliError> {
         )),
         None => None,
     };
-    let mix = mix_m(k);
     println!(
-        "ablation on M{k}: {} + CPUs {} (scale {scale})",
+        "ablation on {}: {} + CPUs {} (scale {})",
+        mix.name,
         mix.game.name,
-        mix.cpu_label()
+        mix.cpu_label(),
+        base.scale
     );
 
-    let limits = RunLimits {
-        cpu_instructions: 400_000,
-        gpu_frames: 4,
-        warmup_cycles: 200_000,
-        max_cycles: 4_000_000_000,
-        watchdog: 50_000_000,
-    };
-
-    let base_cfg = || {
-        let mut c = MachineConfig::table_one(scale, 77);
-        c.limits = limits;
-        c
-    };
-    base_cfg()
-        .validate()
-        .map_err(|e| CliError::Config(e.to_string()))?;
-    let variants: Vec<(&str, MachineConfig)> = vec![
-        ("baseline", base_cfg()),
-        ("throttle-only", {
-            let mut c = base_cfg();
-            c.qos = QosMode::Throttle;
-            c
-        }),
-        ("prio-only", {
-            let mut c = base_cfg();
-            c.qos = QosMode::CpuPrioOnly;
-            c.sched = SchedulerKind::FrFcfsCpuPrio;
-            c
-        }),
-        ("full", {
-            let mut c = base_cfg();
-            c.qos = QosMode::ThrotCpuPrio;
-            c.sched = SchedulerKind::FrFcfsCpuPrio;
-            c
-        }),
-        ("full-strict", {
-            let mut c = base_cfg();
-            c.qos = QosMode::ThrotCpuPrio;
-            c.sched = SchedulerKind::FrFcfsCpuPrio;
-            c.strict_release = true;
-            c
-        }),
-        ("full-llc-lru", {
-            let mut c = base_cfg();
-            c.qos = QosMode::ThrotCpuPrio;
-            c.sched = SchedulerKind::FrFcfsCpuPrio;
-            c.llc_policy = ReplacementPolicy::Lru;
-            c
-        }),
-        ("full-llc-drrip", {
-            let mut c = base_cfg();
-            c.qos = QosMode::ThrotCpuPrio;
-            c.sched = SchedulerKind::FrFcfsCpuPrio;
-            c.llc_policy = ReplacementPolicy::Drrip;
-            c
-        }),
-        ("full-sms-dram", {
-            let mut c = base_cfg();
-            c.qos = QosMode::Throttle; // SMS has no CPU-prio line
-            c.sched = SchedulerKind::Sms(0.9);
-            c
-        }),
+    let keep: fn(&mut JobSpec) = |_| {};
+    let variants = [
+        ("baseline", "off", "frfcfs", keep),
+        ("throttle-only", "throttle", "frfcfs", keep),
+        ("prio-only", "prioonly", "cpuprio", keep),
+        ("full", "full", "cpuprio", keep),
+        ("full-strict", "full", "cpuprio", keep),
+        ("full-llc-lru", "full", "cpuprio", |s| s.llc_lru = true),
+        ("full-llc-drrip", "full", "cpuprio", keep),
+        // SMS has no CPU-prio line.
+        ("full-sms-dram", "throttle", "sms09", keep),
         // §IV's static-partitioning comparisons ([28]-style): shown by a
         // later study (and by this ablation) to be sub-optimal.
-        ("static-llc-4w", {
-            let mut c = base_cfg();
-            c.gpu_llc_ways = Some(4);
-            c
+        ("static-llc-4w", "off", "frfcfs", |s| s.gpu_ways = Some(4)),
+        ("static-dram-ch", "off", "frfcfs", |s| {
+            s.partition_channels = true
         }),
-        ("static-dram-ch", {
-            let mut c = base_cfg();
-            c.partition_channels = true;
-            c
-        }),
-        ("static-prio", {
-            let mut c = base_cfg();
-            c.sched = SchedulerKind::StaticCpuPrio;
-            c
-        }),
+        ("static-prio", "off", "static", keep),
     ];
+    let mut jobs = Vec::with_capacity(variants.len());
+    for (label, qos, sched, edit) in variants {
+        let mut spec = JobSpec {
+            qos: qos.into(),
+            sched: sched.into(),
+            ..base.clone()
+        };
+        edit(&mut spec);
+        let mut job = spec.resolve()?;
+        // Two variants have no spec key: they edit the resolved machine.
+        match label {
+            "full-strict" => job.cfg.strict_release = true,
+            "full-llc-drrip" => job.cfg.llc_policy = ReplacementPolicy::Drrip,
+            _ => {}
+        }
+        jobs.push((label, job));
+    }
 
     println!(
         "{:<15} {:>7} {:>8} {:>9} {:>9} {:>5}",
         "variant", "FPS", "ΣIPC", "gpuB/c", "cpuB/c", "WG"
     );
     let mut base_ipc = 0.0;
-    for (label, cfg) in variants {
-        let r: RunResult = HeteroSystem::new(cfg, &mix.cpu, Some(mix.game.clone())).try_run()?;
+    for (label, job) in jobs {
+        let r: RunResult = HeteroSystem::new(job.cfg, &job.apps, job.game).try_run()?;
         let g = r.gpu.as_ref().unwrap();
         let sum_ipc: f64 = r.cores.iter().map(|c| c.ipc).sum();
         if label == "baseline" {

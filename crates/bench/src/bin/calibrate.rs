@@ -7,20 +7,10 @@
 
 #![warn(clippy::disallowed_methods)]
 
-use gat_bench::{fail, Args, CliError};
-use gat_dram::SchedulerKind;
-use gat_hetero::{HeteroSystem, MachineConfig, QosMode, RunLimits};
+use gat_bench::{fail, with_mix, Args, CliError};
+use gat_hetero::{HeteroSystem, RunResult};
+use gat_serve::JobSpec;
 use gat_workloads::{all_games, all_spec, mixes_m};
-
-fn limits() -> RunLimits {
-    RunLimits {
-        cpu_instructions: 400_000,
-        gpu_frames: 4,
-        warmup_cycles: 200_000,
-        max_cycles: 4_000_000_000,
-        watchdog: 50_000_000,
-    }
-}
 
 fn main() {
     if let Err(e) = real_main() {
@@ -28,18 +18,20 @@ fn main() {
     }
 }
 
+/// Resolve `spec` and run it to completion.
+fn run(spec: &JobSpec) -> Result<RunResult, CliError> {
+    let job = spec.resolve()?;
+    Ok(HeteroSystem::new(job.cfg, &job.apps, job.game).try_run()?)
+}
+
 fn real_main() -> Result<(), CliError> {
     let args = Args::from_env("--scale", "")?;
     let words = args.positional();
     let what = words.first().map_or("cpus", String::as_str);
-    let scale: u32 = args.num("--scale", 128)?;
-    {
-        let mut probe = MachineConfig::table_one(scale, 3);
-        probe.limits = limits();
-        probe
-            .validate()
-            .map_err(|e| CliError::Config(e.to_string()))?;
-    }
+    let mut base = JobSpec::base("calibrate");
+    base.seed = 3;
+    base.max_cycles = Some(4_000_000_000);
+    base.scale = args.num("--scale", base.scale)?;
 
     match what {
         "cpus" => {
@@ -48,9 +40,10 @@ fn real_main() -> Result<(), CliError> {
                 "app", "baseIPC", "aloneIPC", "frac", "dramLat", "rowHit", "llcMiss%", "pf"
             );
             for p in all_spec() {
-                let mut cfg = MachineConfig::table_one(scale, 3);
-                cfg.limits = limits();
-                let r = HeteroSystem::new(cfg, &[p], None).try_run()?;
+                let r = run(&JobSpec {
+                    cpus: vec![p.spec_id],
+                    ..base.clone()
+                })?;
                 println!(
                     "{:<12} {:>8.2} {:>9.3} {:>5.0}% {:>8.0} {:>8.2} {:>8.2} {:>8}",
                     p.name,
@@ -70,9 +63,11 @@ fn real_main() -> Result<(), CliError> {
                 "game", "tableFPS", "aloneFPS", "ratio"
             );
             for g in all_games() {
-                let mut cfg = MachineConfig::table_one(scale, 3);
-                cfg.limits = limits();
-                let r = HeteroSystem::new(cfg, &[], Some(g.clone())).try_run()?;
+                let r = run(&JobSpec {
+                    cpus: Vec::new(),
+                    game: Some(g.name.to_string()),
+                    ..base.clone()
+                })?;
                 let fps = r.gpu.as_ref().unwrap().fps;
                 println!(
                     "{:<14} {:>9.1} {:>9.1} {:>7.2}",
@@ -90,26 +85,24 @@ fn real_main() -> Result<(), CliError> {
                 .find(|m| m.name == name)
                 .ok_or_else(|| CliError::Usage(format!("unknown mix {name:?} (M1..M14)")))?;
             println!(
-                "== {} ({} + {}) scale {scale}",
+                "== {} ({} + {}) scale {}",
                 mix.name,
                 mix.game.name,
-                mix.cpu_label()
+                mix.cpu_label(),
+                base.scale
             );
             let mut rows = Vec::new();
+            let on_mix = with_mix(base.clone(), &mix);
             for (label, qos, sched) in [
-                ("baseline", QosMode::Off, SchedulerKind::FrFcfs),
-                ("throttle", QosMode::Throttle, SchedulerKind::FrFcfs),
-                (
-                    "throt+prio",
-                    QosMode::ThrotCpuPrio,
-                    SchedulerKind::FrFcfsCpuPrio,
-                ),
+                ("baseline", "off", "frfcfs"),
+                ("throttle", "throttle", "frfcfs"),
+                ("throt+prio", "full", "cpuprio"),
             ] {
-                let mut cfg = MachineConfig::table_one(scale, 3);
-                cfg.limits = limits();
-                cfg.qos = qos;
-                cfg.sched = sched;
-                let r = HeteroSystem::new(cfg, &mix.cpu, Some(mix.game.clone())).try_run()?;
+                let r = run(&JobSpec {
+                    qos: qos.into(),
+                    sched: sched.into(),
+                    ..on_mix.clone()
+                })?;
                 rows.push((label, r));
             }
             println!(

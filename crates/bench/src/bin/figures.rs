@@ -20,10 +20,11 @@
 use std::io::Write;
 
 use gat_bench::{
-    fail, fault_plan_from, figure_tables, is_known_figure, render_tables, tables_jsonl, Args,
-    CliError, FIGURES,
+    fail, fault_spec, figure_tables, is_known_figure, render_tables, tables_jsonl, Args, CliError,
+    FIGURES,
 };
 use gat_hetero::experiments::ExpConfig;
+use gat_sim::faults::FaultPlan;
 
 const USAGE: &str = "figures <figN|all> [--scale N] [--frames N] [--instr N] [--warmup N] \
      [--seed N] [--threads N] [--json PATH] [--faults SPEC]";
@@ -54,7 +55,8 @@ fn real_main() -> Result<(), CliError> {
     cfg.seed = args.num("--seed", cfg.seed)?;
     cfg.limits.warmup_cycles = args.num("--warmup", cfg.limits.warmup_cycles)?;
     cfg.threads = args.num("--threads", cfg.threads)?;
-    cfg.faults = fault_plan_from(args.get("--faults"))?;
+    cfg.faults = FaultPlan::parse(&fault_spec(&args))
+        .map_err(|e| CliError::Config(format!("faults: {e}")))?;
     cfg.validate()
         .map_err(|e| CliError::Config(e.to_string()))?;
     let json_path = args.get("--json");

@@ -7,23 +7,32 @@
 //!         [--epoch N] [--json PATH] [--faults SPEC]
 //! ```
 //!
+//! The run is the proposal (FRPU/ATU throttling with CPU priority) on
+//! one Table III mix, built through `JobSpec::resolve` like every other
+//! simulation CLI, with no warm-up. It ends when the GPU has drawn
+//! `--frames` frames, so the CPU instruction budget is 0 and the liveness
+//! watchdog watches the frames alone.
+//!
 //! The text table is driven by the structured run-event stream
 //! (`HeteroSystem::subscribe_run_events`). With `--json PATH` every event
 //! — frame boundaries, QoS transitions, DRAM priority flips, and one
 //! registry snapshot every `--epoch` CPU cycles — is also written to
 //! PATH as JSONL, followed by a final full registry snapshot.
-//! `--faults SPEC` (or `GAT_FAULTS`) installs a deterministic
-//! fault-injection plan; a run that stops making progress exits with
-//! code 3 and a structured diagnostic instead of spinning.
+//!
+//! Each cycle goes through `HeteroSystem::step`, which makes the same
+//! checks as `try_run`: the `GAT_PARANOIA=1` invariant sweep, the
+//! 40e9-cycle cap and the liveness watchdog. `--faults SPEC` (or
+//! `GAT_FAULTS`) installs a deterministic fault-injection plan; a run
+//! whose GPU stops making progress exits with code 3 and a
+//! `watchdog_dump` diagnostic instead of spinning.
 
 #![warn(clippy::disallowed_methods)]
 
 use std::io::Write;
 
-use gat_bench::{fail, fault_plan_from, parse_num, Args, CliError};
-use gat_dram::SchedulerKind;
-use gat_hetero::{HeteroSystem, MachineConfig, QosMode, RunEvent, RunLimits, SimError};
-use gat_workloads::mix_m;
+use gat_bench::{fail, fault_spec, mix_arg, with_mix, Args, CliError};
+use gat_hetero::{HeteroSystem, RunEvent};
+use gat_serve::JobSpec;
 
 fn main() {
     if let Err(e) = real_main() {
@@ -33,42 +42,30 @@ fn main() {
 
 fn real_main() -> Result<(), CliError> {
     let args = Args::from_env("--scale --frames --epoch --json --faults", "")?;
-    let k: usize = match args.positional().first() {
-        Some(s) => parse_num("mix-number", s)?,
-        None => 7,
-    };
-    if !(1..=14).contains(&k) {
-        return Err(CliError::Usage(format!(
-            "mix-number must be 1..=14, got {k}"
-        )));
-    }
-    let scale: u32 = args.num("--scale", 128)?;
-    let frames: u32 = args.num("--frames", 12)?;
+    let mix = mix_arg(&args)?;
+    let mut spec = with_mix(JobSpec::base("timeline"), &mix);
+    spec.seed = 5;
+    spec.qos = "full".into();
+    spec.sched = "cpuprio".into();
+    spec.instr = 0;
+    spec.warmup = 0;
+    spec.max_cycles = Some(40_000_000_000);
+    spec.scale = args.num("--scale", spec.scale)?;
+    spec.frames = args.num("--frames", 12)?;
+    spec.faults = fault_spec(&args);
     let epoch: u64 = args.num("--epoch", 1_000_000)?;
     let json_path = args.get("--json");
-    let mix = mix_m(k);
     println!(
-        "timeline of M{k}: {} + CPUs {} (scale {scale}, {frames} frames, target 40 FPS)",
+        "timeline of {}: {} + CPUs {} (scale {}, {} frames, target 40 FPS)",
+        mix.name,
         mix.game.name,
-        mix.cpu_label()
+        mix.cpu_label(),
+        spec.scale,
+        spec.frames
     );
 
-    const MAX_CYCLES: u64 = 40_000_000_000;
-    let mut cfg = MachineConfig::table_one(scale, 5);
-    cfg.qos = QosMode::ThrotCpuPrio;
-    cfg.sched = SchedulerKind::FrFcfsCpuPrio;
-    cfg.limits = RunLimits {
-        cpu_instructions: u64::MAX, // run until the GPU finishes
-        gpu_frames: frames,
-        warmup_cycles: 0,
-        max_cycles: MAX_CYCLES,
-        watchdog: 50_000_000,
-    };
-    cfg.faults = fault_plan_from(args.get("--faults"))?;
-    cfg.validate()
-        .map_err(|e| CliError::Config(e.to_string()))?;
-
-    let mut sys = HeteroSystem::new(cfg, &mix.cpu, Some(mix.game.clone()));
+    let job = spec.resolve()?;
+    let mut sys = HeteroSystem::new(job.cfg, &job.apps, job.game);
     let sub = sys.subscribe_run_events();
     sys.set_epoch_sampling(if epoch > 0 { Some(epoch) } else { None });
     let mut json = match json_path {
@@ -83,8 +80,8 @@ fn real_main() -> Result<(), CliError> {
         "frame", "cycles", "FPS", "WG", "boost", "gpu-sends", "retired"
     );
     let mut frame_count = 0u32;
-    while frame_count < frames {
-        sys.tick();
+    while frame_count < spec.frames {
+        sys.step()?;
         for e in sys.poll_run_events(sub).events {
             if let Some(f) = json.as_mut() {
                 writeln!(f, "{}", e.to_json()).map_err(io_err)?;
@@ -112,12 +109,6 @@ fn real_main() -> Result<(), CliError> {
                     cpu_retired,
                 );
             }
-        }
-        if sys.now() >= MAX_CYCLES {
-            return Err(CliError::Sim(SimError::MaxCycles {
-                cycle: sys.now(),
-                limit: MAX_CYCLES,
-            }));
         }
     }
     if let Some(mut f) = json {

@@ -11,16 +11,21 @@
 //!
 //! The other binaries (`runsim`, `timeline`, `calibrate`, `ablate`,
 //! `gat-serve` and the `hotbench` CI perf gate) share [`Args`] and
-//! [`CliError`]. Performance is measured by the repository benchmark
-//! (`benchmark/README.md`), not here.
+//! [`CliError`]. `runsim`, `timeline`, `ablate` and `calibrate` are
+//! front ends for `gat_serve::JobSpec`: each builds its machines through
+//! `JobSpec::resolve`, and [`fault_spec`], [`mix_arg`] and [`with_mix`]
+//! fill the spec from their shared flags. `figures` and `hotbench` run
+//! many machines per invocation and stay on `ExpConfig`. Performance is
+//! measured by the repository benchmark (`benchmark/README.md`), not
+//! here.
 
 use gat_hetero::experiments::{self, ExpConfig};
 use gat_hetero::report::Table;
 use gat_hetero::SimError;
 use gat_serve::spec::{apply_field, SpecError};
 use gat_serve::JobSpec;
-use gat_sim::faults::FaultPlan;
 use gat_sim::json::JsonValue;
+use gat_workloads::{mix_m, Mix};
 
 /// All known figure ids, in paper order.
 pub const FIGURES: [&str; 10] = [
@@ -173,37 +178,55 @@ impl Args {
         }
     }
 
-    /// A numeric flag's value, if given.
-    pub fn num_opt<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, CliError> {
-        self.get(flag).map(|v| parse_num(flag, v)).transpose()
-    }
-
     /// A numeric flag's value, or `default` when absent.
     pub fn num<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, CliError> {
-        Ok(self.num_opt(flag)?.unwrap_or(default))
+        self.get(flag).map_or(Ok(default), |v| parse_num(flag, v))
     }
 }
 
-/// Resolve the run's fault plan: an explicit `--faults SPEC` wins,
-/// otherwise the `GAT_FAULTS` environment variable, otherwise fault-free.
-pub fn fault_plan_from(cli_spec: Option<&str>) -> Result<FaultPlan, CliError> {
-    if let Some(spec) = cli_spec {
-        return FaultPlan::parse(spec).map_err(|e| CliError::Config(format!("--faults: {e}")));
+/// The run's fault-plan spec string: an explicit `--faults SPEC` wins,
+/// otherwise the `GAT_FAULTS` environment variable, otherwise empty
+/// (fault-free). The one place either source is read.
+pub fn fault_spec(args: &Args) -> String {
+    match args.get("--faults") {
+        Some(spec) => spec.to_string(),
+        None => gat_sim::knobs::faults_spec().unwrap_or_default(),
     }
-    FaultPlan::from_env()
-        .map(|opt| opt.unwrap_or_default())
-        .map_err(|e| CliError::Config(format!("GAT_FAULTS: {e}")))
+}
+
+/// The Table III mix named by the first positional word (`1..=14`,
+/// default 7), for the binaries that study one mix.
+pub fn mix_arg(args: &Args) -> Result<Mix, CliError> {
+    let k: usize = match args.positional().first() {
+        Some(s) => parse_num("mix-number", s)?,
+        None => 7,
+    };
+    if !(1..=14).contains(&k) {
+        return Err(CliError::Usage(format!(
+            "mix-number must be 1..=14, got {k}"
+        )));
+    }
+    Ok(mix_m(k))
+}
+
+/// `spec` running `mix`: its game and its CPU apps' SPEC ids.
+pub fn with_mix(spec: JobSpec, mix: &Mix) -> JobSpec {
+    JobSpec {
+        game: Some(mix.game.name.to_string()),
+        cpus: mix.cpu.iter().map(|p| p.spec_id).collect(),
+        ..spec
+    }
 }
 
 /// `runsim`'s command line as a job spec. Starting from
 /// [`JobSpec::base`], every flag but `--json` sets the spec key of the
 /// same name (`--gpu-ways N` is `"gpu_ways": N`, a switch is `true`),
-/// and `GAT_FAULTS` stands in for an absent `--faults`. A positional
-/// word is a usage error; names are checked when the spec is resolved.
+/// and the faults come from [`fault_spec`]. A positional word is a
+/// usage error; names are checked when the spec is resolved.
 pub fn runsim_spec(args: &Args) -> Result<JobSpec, CliError> {
     args.reject_positional()?;
     let mut spec = JobSpec::base("runsim");
-    spec.faults = gat_sim::knobs::faults_spec().unwrap_or_default();
+    spec.faults = fault_spec(args);
     let mut set = |flag: &str, value: JsonValue| {
         let key = flag.trim_start_matches("--").replace('-', "_");
         apply_field(&mut spec, &key, &value).map_err(|e| CliError::Usage(format!("{flag}: {e}")))
@@ -211,8 +234,8 @@ pub fn runsim_spec(args: &Args) -> Result<JobSpec, CliError> {
     // Reversed so that, as with `Args::get`, a repeated flag's first value wins.
     for (flag, v) in args.values.iter().rev() {
         match flag.as_str() {
-            "--json" => {}
-            "--game" | "--cpus" | "--sched" | "--qos" | "--fill" | "--faults" => {
+            "--json" | "--faults" => {}
+            "--game" | "--cpus" | "--sched" | "--qos" | "--fill" => {
                 set(flag, JsonValue::Str(v.clone()))?;
             }
             _ => set(flag, JsonValue::Num(v.clone()))?,
@@ -384,21 +407,6 @@ mod tests {
         assert!(m.contains("--scale needs a value"), "{m}");
         let a = parse(&["--scale", "lots"], "--scale", "").unwrap();
         assert!(matches!(a.num("--scale", 1u32), Err(CliError::Usage(_))));
-    }
-
-    #[test]
-    fn fault_plan_resolution_prefers_the_cli_spec() {
-        let p = fault_plan_from(Some("dram.bounce=0.5")).unwrap();
-        assert_eq!(p.dram.bounce, 0.5);
-        assert!(matches!(
-            fault_plan_from(Some("bogus=1")),
-            Err(CliError::Config(_))
-        ));
-        // No spec anywhere: fault-free.
-        assert!(
-            fault_plan_from(None).map(|p| p.is_none()).unwrap_or(false)
-                || std::env::var("GAT_FAULTS").is_ok()
-        );
     }
 
     #[test]

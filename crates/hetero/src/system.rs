@@ -92,12 +92,13 @@ pub struct HeteroSystem {
     frpu_rng: Option<SimRng>,
     /// Scratch for the jittered event copies (restored empty).
     jitter_buf: Vec<GpuEvent>,
-    /// Invariant checking each tick of `try_run` (`GAT_PARANOIA=1`).
+    /// Invariant checking after each [`Self::step`] (`GAT_PARANOIA=1`).
     paranoia: bool,
-    /// Liveness watchdog window (`limits.watchdog`; 0 disables) and the
-    /// next deadline.
+    /// Liveness watchdog window (`limits.watchdog`; 0 disables).
     wd_window: Cycle,
-    wd_next: Cycle,
+    /// The watchdog's next deadline and the progress fingerprint it
+    /// compares against; `None` until the first [`Self::step`] arms it.
+    wd: Option<(Cycle, u64)>,
 }
 
 /// Apply multiplicative noise to the sensor-visible fields of a GPU event
@@ -246,7 +247,7 @@ impl HeteroSystem {
             jitter_buf: Vec::new(),
             paranoia,
             wd_window: cfg.limits.watchdog,
-            wd_next: Cycle::MAX,
+            wd: None,
             cfg,
         }
     }
@@ -702,7 +703,7 @@ impl HeteroSystem {
 
     /// Paranoia-mode invariant sweep (`GAT_PARANOIA=1`): structural
     /// checks across the QoS hardware, GPU pipeline, uncore and the
-    /// epoch sampler, run after every tick of [`Self::try_run`].
+    /// epoch sampler, run after every tick of [`Self::step`].
     fn check_invariants(&self) -> Result<(), SimError> {
         let err = |component: &'static str, detail: String| SimError::Invariant {
             cycle: self.now,
@@ -739,42 +740,54 @@ impl HeteroSystem {
         self.qos.as_ref().is_some_and(|q| q.is_degraded())
     }
 
+    /// Advance one cycle and make the per-tick checks: [`Self::tick`],
+    /// then under `GAT_PARANOIA=1` the invariant sweep, then the
+    /// `max_cycles` cap, then the liveness watchdog, which the first call
+    /// arms. Every driver loop advances the machine through this.
+    pub fn step(&mut self) -> Result<(), SimError> {
+        let (deadline, print) = match self.wd {
+            Some(wd) => wd,
+            None => {
+                let wd = (
+                    self.now.saturating_add(self.wd_window.max(1)),
+                    self.progress_fingerprint(),
+                );
+                self.wd = Some(wd);
+                wd
+            }
+        };
+        self.tick();
+        if self.paranoia {
+            self.check_invariants()?;
+        }
+        if self.now >= self.cfg.limits.max_cycles {
+            return Err(SimError::MaxCycles {
+                cycle: self.now,
+                limit: self.cfg.limits.max_cycles,
+            });
+        }
+        if self.wd_window > 0 && self.now >= deadline {
+            // Progress, or a wait on a timed gate, earns a fresh window;
+            // a silent window without either is a wedge.
+            let fp = self.progress_fingerprint();
+            if fp == print && !self.gpu_port_timed_shut() {
+                return Err(self.wedged_error());
+            }
+            self.wd = Some((self.now.saturating_add(self.wd_window), fp));
+        }
+        Ok(())
+    }
+
     /// Run to completion, converting the failure modes into typed
     /// [`SimError`]s: cycle-budget exhaustion, a liveness-watchdog trip
     /// (with a JSONL diagnostic dump), or — under `GAT_PARANOIA=1` — an
     /// invariant violation.
     pub fn try_run(&mut self) -> Result<RunResult, SimError> {
         self.warm_up();
-        self.wd_next = self.now.saturating_add(self.wd_window.max(1));
-        let mut wd_print = self.progress_fingerprint();
-        // One goal check per tick, after `tick`: a finished machine never
-        // ticks again (same exit cycle as checking up front).
-        if !self.goals_met() {
-            loop {
-                self.tick();
-                if self.paranoia {
-                    self.check_invariants()?;
-                }
-                if self.now >= self.cfg.limits.max_cycles {
-                    return Err(SimError::MaxCycles {
-                        cycle: self.now,
-                        limit: self.cfg.limits.max_cycles,
-                    });
-                }
-                if self.goals_met() {
-                    break;
-                }
-                if self.wd_window > 0 && self.now >= self.wd_next {
-                    // Progress, or a wait on a timed gate, earns a fresh
-                    // window; a silent window without either is a wedge.
-                    let fp = self.progress_fingerprint();
-                    if fp == wd_print && !self.gpu_port_timed_shut() {
-                        return Err(self.wedged_error());
-                    }
-                    wd_print = fp;
-                    self.wd_next = self.now.saturating_add(self.wd_window);
-                }
-            }
+        // One goal check per step: a finished machine never ticks again
+        // (same exit cycle as checking up front).
+        while !self.goals_met() {
+            self.step()?;
         }
         self.sync_cores();
         Ok(self.collect())

@@ -3,13 +3,12 @@
 //! The simulator's headline guarantee is byte-identical output across
 //! thread counts, reruns, and fault replays. The golden snapshots catch a
 //! nondeterminism bug *after* it ships; static checks reject the usual
-//! sources at review time. Clippy carries the generic ones (R1–R4, R9,
+//! sources at review time. Clippy carries the generic ones (R1–R5, R9,
 //! R11: see `clippy.toml` and DESIGN.md §10); this linter keeps the rules
 //! clippy cannot express:
 //!
 //! | rule | forbids                                                    |
 //! |------|------------------------------------------------------------|
-//! | R5   | NaN-unsafe `partial_cmp().unwrap()` / float sorts in sim-state crates |
 //! | R6   | bench `--flag`s absent from README.md; `GAT_*` knobs absent from DESIGN.md |
 //! | R8   | per-tick heap allocation (`Vec::new`, `vec!`, `Box::new`, `.collect::<Vec<..>>()`) in tick-path modules |
 //! | R12  | expressions mixing `Cycle`-domain values with wall-clock milliseconds in sim-state crates |
@@ -201,13 +200,14 @@ mod tests {
 
     #[test]
     fn findings_are_sorted_and_carry_spans() {
+        // The unused pragma is reported after the R12 finding but sorts first.
         let f = sim(
-            "pub fn f(a: f64, b: f64, t_cycles: u64, t_ms: u64) {\n    let _ = t_cycles < t_ms;\n    let _ = a.partial_cmp(&b).unwrap();\n}\n",
+            "// gat-lint: allow(R8, \"stale\")\npub fn f(t_cycles: u64, t_ms: u64) {\n    let _ = t_cycles < t_ms;\n}\n",
         );
         let fs = lint_sources(&f, "", "");
         assert_eq!(fs.len(), 2);
-        assert_eq!((fs[0].rule, fs[0].line), (RuleId::R12, 2));
-        assert_eq!((fs[1].rule, fs[1].line), (RuleId::R5, 3));
+        assert_eq!((fs[0].rule, fs[0].line), (RuleId::Pragma, 1));
+        assert_eq!((fs[1].rule, fs[1].line), (RuleId::R12, 3));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use gat_lint::RuleId;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: gat-lint [--json] [--root PATH] [--rules R5,R8,..] [--list-rules]";
+const USAGE: &str = "usage: gat-lint [--json] [--root PATH] [--rules R8,R12,..] [--list-rules]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

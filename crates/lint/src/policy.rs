@@ -4,12 +4,12 @@
 //! behaviour feeds the byte-identical exports. Tooling (the bench CLIs,
 //! the serve engine, this linter, the proptest shim) is outside it. This module is the single place that boundary is drawn for the
 //! gat-lint rules, so adding a crate to the contract is a one-line change
-//! reviewed like any other. The clippy half of the contract (R1–R4, R9,
+//! reviewed like any other. The clippy half of the contract (R1–R5, R9,
 //! R11) draws the same boundary with crate-root opt-in lines instead
 //! (DESIGN.md §10).
 
 /// Crates whose `src/` trees hold simulator state and are subject to
-/// rules R5, R8 and R12.
+/// rules R8 and R12.
 pub const SIM_CRATES: &[&str] = &[
     "sim",
     "cache",
@@ -46,7 +46,7 @@ pub const BENCH_BIN_DIR: &str = "crates/bench/src/bin";
 /// How a file participates in linting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileClass {
-    /// Simulator-state library code: rules R5, R8 and R12 apply, plus
+    /// Simulator-state library code: rules R8 and R12 apply, plus
     /// `GAT_*` literal collection for R6.
     SimLib,
     /// A bench CLI binary: source of R6's `--flag` and `GAT_*` inventory.

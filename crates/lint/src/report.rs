@@ -4,12 +4,10 @@ use gat_sim::json::Obj;
 
 /// The rule catalog. Ids are stable: they appear in pragmas, CI logs and
 /// the JSONL export, so renaming one is a breaking change to suppression
-/// comments across the tree. Clippy enforces R1–R4, R9 and R11
+/// comments across the tree. Clippy enforces R1–R5, R9 and R11
 /// (`clippy.toml`, DESIGN.md §10), so those ids are not pragma names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    /// NaN-unsafe float comparison patterns.
-    R5,
     /// CLI flags / `GAT_*` knobs missing from the documentation.
     R6,
     /// Per-tick heap allocation (`Vec::new`, `vec![..]`, `Box::new`,
@@ -31,18 +29,11 @@ pub enum RuleId {
 /// All catalog rules in order, for `--list-rules` and per-rule summary
 /// counts. `Pragma` is included — its findings appear in exports and CI
 /// logs like any other.
-pub const ALL_RULES: &[RuleId] = &[
-    RuleId::R5,
-    RuleId::R6,
-    RuleId::R8,
-    RuleId::R12,
-    RuleId::Pragma,
-];
+pub const ALL_RULES: &[RuleId] = &[RuleId::R6, RuleId::R8, RuleId::R12, RuleId::Pragma];
 
 impl RuleId {
     pub fn as_str(self) -> &'static str {
         match self {
-            RuleId::R5 => "R5",
             RuleId::R6 => "R6",
             RuleId::R8 => "R8",
             RuleId::R12 => "R12",
@@ -53,7 +44,6 @@ impl RuleId {
     /// One-line summary for `--list-rules` and the DESIGN.md catalog.
     pub fn summary(self) -> &'static str {
         match self {
-            RuleId::R5 => "no NaN-unsafe float comparisons",
             RuleId::R6 => "CLI flags and GAT_* knobs must be documented",
             RuleId::R8 => "no per-tick heap allocation in tick-path modules",
             RuleId::R12 => "no arithmetic mixing Cycle values with wall-clock milliseconds",
@@ -72,7 +62,6 @@ impl RuleId {
     /// One-line fix hint attached to every finding of this rule.
     pub fn hint(self) -> &'static str {
         match self {
-            RuleId::R5 => "use f64::total_cmp for ordering, or guard the comparison against NaN explicitly",
             RuleId::R6 => "document the name, or remove the dead flag/knob",
             RuleId::R8 => {
                 "reuse a struct-owned container (clear it, keep its storage); allocation belongs in the constructor, not the tick"
@@ -174,7 +163,9 @@ mod tests {
             assert!(!r.summary().is_empty());
             assert!(!r.hint().is_empty());
         }
-        for retired in ["R1", "R2", "R3", "R4", "R7", "R9", "R10", "R11", "R13"] {
+        for retired in [
+            "R1", "R2", "R3", "R4", "R5", "R7", "R9", "R10", "R11", "R13",
+        ] {
             assert_eq!(RuleId::from_pragma_name(retired), None);
         }
     }

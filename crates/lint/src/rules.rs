@@ -1,5 +1,5 @@
-//! The NaN-ordering rule (R5), the tick-path allocation rule (R8) and the
-//! unit-mixing rule (R12) over one file's token stream, plus the raw
+//! The tick-path allocation rule (R8) and the unit-mixing rule (R12)
+//! over one file's token stream, plus the raw
 //! material (flag and knob literals) for the cross-file rule R6.
 //!
 //! Every matcher works on the comment-free token stream from
@@ -81,7 +81,6 @@ pub fn lint_file(rel_path: &str, source: &str) -> FileLint {
 
     let mut raw: Vec<Finding> = Vec::new();
     if class == FileClass::SimLib {
-        check_r5_nan(rel_path, toks, &in_test, &mut raw);
         check_r8_tick_alloc(rel_path, toks, &in_test, &mut raw);
         check_r12_unit_mix(rel_path, toks, &in_test, &mut raw);
     }
@@ -234,60 +233,6 @@ fn push(raw: &mut Vec<Finding>, rule: RuleId, file: &str, line: u32, message: St
         line,
         message,
     });
-}
-
-/// R5: `partial_cmp(..).unwrap()` (panics on NaN) and float sorts built
-/// on `partial_cmp` (NaN makes the comparator non-total, and the
-/// resulting order is allocation-dependent).
-fn check_r5_nan(file: &str, toks: &[Token], in_test: &[bool], raw: &mut Vec<Finding>) {
-    for (i, t) in toks.iter().enumerate() {
-        if in_test[i] {
-            continue;
-        }
-        // `.partial_cmp( … ).unwrap`
-        if is_punct(toks, i, '.')
-            && ident_at(toks, i + 1) == Some("partial_cmp")
-            && is_punct(toks, i + 2, '(')
-        {
-            if let Some(close) = matching(toks, i + 2, '(', ')') {
-                if is_punct(toks, close + 1, '.') && ident_at(toks, close + 2) == Some("unwrap") {
-                    push(
-                        raw,
-                        RuleId::R5,
-                        file,
-                        t.line,
-                        "partial_cmp(..).unwrap() panics on NaN".into(),
-                    );
-                }
-            }
-        }
-        // `.sort_by( … partial_cmp … )` and friends
-        if is_punct(toks, i, '.') {
-            if let Some(
-                name @ ("sort_by" | "sort_unstable_by" | "min_by" | "max_by" | "binary_search_by"),
-            ) = ident_at(toks, i + 1)
-            {
-                if is_punct(toks, i + 2, '(') {
-                    if let Some(close) = matching(toks, i + 2, '(', ')') {
-                        let uses_partial = toks[i + 2..close]
-                            .iter()
-                            .any(|t| matches!(&t.tok, Tok::Ident(s) if s == "partial_cmp"));
-                        if uses_partial {
-                            push(
-                                raw,
-                                RuleId::R5,
-                                file,
-                                t.line,
-                                format!(
-                                    "{name} comparator built on partial_cmp is not total under NaN"
-                                ),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// R8: heap allocation in a tick-path module (`policy::TICK_PATH_MODULES`).
@@ -552,8 +497,8 @@ mod tests {
     #[test]
     fn pragma_on_preceding_line_suppresses_and_is_marked_used() {
         let src = "\
-// gat-lint: allow(R5, \"test fixture\")
-pub fn f(a: f64, b: f64) -> bool { a.partial_cmp(&b).unwrap().is_lt() }
+// gat-lint: allow(R12, \"test fixture\")
+pub fn f(t_cycles: u64, t_ms: u64) -> bool { t_cycles < t_ms }
 ";
         let l = lint_file(SIM_PATH, src);
         assert!(l.findings.is_empty(), "{:?}", l.findings);

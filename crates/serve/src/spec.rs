@@ -1,13 +1,14 @@
 //! The JSONL job-spec grammar: one JSON object per line, each describing
 //! one simulation job (machine/experiment/QoS config + seed + budgets).
 //!
-//! This is the one config path per job: the `runsim` one-shot CLI fills
+//! This is the one config path per job. The `runsim` one-shot CLI fills
 //! a [`JobSpec`] from [`JobSpec::base`] through [`apply_field`] and
 //! runs what [`JobSpec::resolve`] returns, so a spec line and the
 //! equivalent `runsim` flags produce the same `MachineConfig` — and
-//! therefore byte-identical results. Unknown keys are rejected (a typo'd
-//! budget silently defaulting to "unlimited" is the failure mode this
-//! grammar exists to prevent).
+//! therefore byte-identical results. `timeline`, `ablate` and
+//! `calibrate` edit a base spec and resolve it the same way. Unknown
+//! keys are rejected (a typo'd budget silently defaulting to
+//! "unlimited" is the failure mode this grammar exists to prevent).
 
 use gat_cache::ReplacementPolicy;
 use gat_dram::SchedulerKind;
@@ -26,7 +27,7 @@ pub const SPEC_SCHEMA: u32 = 1;
 pub const CODE_VERSION: &str = concat!("gat-serve/", env!("CARGO_PKG_VERSION"));
 
 /// One job: what to simulate, under which budgets, with which retry
-/// allowance. `runsim` builds one of these from its flags.
+/// allowance. The single-run CLIs build one of these from their flags.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Job id: unique within a batch (used for dump-file suffixes and
@@ -146,7 +147,8 @@ impl JobSpec {
 
     /// Resolve the spec into a validated machine configuration plus its
     /// workloads. The only place the scheduler, QoS and fill names map to
-    /// their enums; `runsim` and the batch engine both run through it.
+    /// their enums; the single-run CLIs and the batch engine all run
+    /// through it.
     pub fn resolve(&self) -> Result<ResolvedJob, SpecError> {
         let bad = |what: &str, detail: String| SpecError {
             line: 0,

@@ -67,6 +67,16 @@ fn r4_library_printing_fires() {
 }
 
 #[test]
+fn r5_nan_unsafe_ordering_fires() {
+    let mut v = vec![0.5f64, 0.25];
+    // The comparator's partial_cmp call is what fires, so the one entry
+    // covers `partial_cmp(..).unwrap()` and float sorts alike.
+    #[expect(clippy::disallowed_methods, reason = "fixture: R5 must fire")]
+    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    assert_eq!(v, [0.25, 0.5]);
+}
+
+#[test]
 fn r9_panic_capture_fires() {
     #[expect(clippy::disallowed_methods, reason = "fixture: R9 must fire")]
     let hook = std::panic::take_hook();

@@ -236,16 +236,6 @@ impl FaultPlan {
         }
         Ok(())
     }
-
-    /// Read a plan from the `GAT_FAULTS` environment variable (via the
-    /// approved knob module, [`crate::knobs`]). Unset or empty means no
-    /// plan.
-    pub fn from_env() -> Result<Option<Self>, FaultSpecError> {
-        match crate::knobs::faults_spec() {
-            Some(spec) => Self::parse(&spec).map(Some),
-            None => Ok(None),
-        }
-    }
 }
 
 fn parse_probability(value: &str) -> Option<f64> {

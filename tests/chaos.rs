@@ -135,6 +135,47 @@ fn watchdog_converts_a_seeded_wedge_into_a_structured_error() {
     }
 }
 
+/// A driver loop that advances the machine itself, as `timeline` does,
+/// gets `try_run`'s liveness guarantee through `HeteroSystem::step`. With
+/// a CPU budget of 0 the watchdog watches the GPU frames alone, so a
+/// wedged GPU trips it even while the four cores keep retiring.
+#[test]
+fn stepping_a_wedged_machine_trips_the_watchdog() {
+    const WINDOW: u64 = 50_000;
+    let mix = mix_m(7);
+    let mut cfg = MachineConfig::table_one(1024, 5);
+    cfg.qos = QosMode::ThrotCpuPrio;
+    cfg.sched = SchedulerKind::FrFcfsCpuPrio;
+    cfg.limits = RunLimits {
+        cpu_instructions: 0,
+        gpu_frames: 3,
+        warmup_cycles: 0,
+        max_cycles: 1_000_000,
+        watchdog: WINDOW,
+    };
+    cfg.faults = FaultPlan::parse("wedge=20000").unwrap();
+    let mut sys = HeteroSystem::new(cfg, &mix.cpu, Some(mix.game.clone()));
+    let err = loop {
+        if let Err(e) = sys.step() {
+            break e;
+        }
+    };
+    match err {
+        SimError::Wedged {
+            cycle,
+            window,
+            diagnostic,
+        } => {
+            assert_eq!(window, WINDOW);
+            // The first window sees the GPU's sends before the wedge.
+            assert_eq!(cycle, 2 * WINDOW, "watchdog fired at {cycle}");
+            assert!(diagnostic.contains("\"type\":\"watchdog_dump\""));
+        }
+        other => panic!("expected SimError::Wedged, got {other:?}"),
+    }
+    assert!(sys.total_retired() > 0, "the cores kept running");
+}
+
 /// A stall burst longer than the watchdog window holds the GPU's LLC port
 /// shut on a timer: the silent window is legitimate waiting, so the run
 /// completes instead of tripping the watchdog.
