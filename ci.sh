@@ -173,6 +173,21 @@ echo "== paranoia invariant sweep (10 min cap) =="
 # MSHR/ATU/queue/epoch invariants and the bytes must not change.
 timeout 600 env GAT_PARANOIA=1 cargo test -q --release --test golden_snapshot
 
+echo "== SMS paranoia sweep: SMS-0.9 and SMS-0 bytes unchanged (10 min cap each) =="
+# No golden runs SMS, so its kept stage-1 batches are checked here: under
+# GAT_PARANOIA=1 every tick re-forms them and asserts they match the
+# cache, and the result lines must equal an unchecked run's.
+for sched in sms09 sms0; do
+    for paranoia in 0 1; do
+        timeout 600 env GAT_PARANOIA=$paranoia cargo run --release -q -p gat-bench --bin runsim -- \
+            --game 3DMark06HDR2 --cpus 401,462,470,471 --sched $sched --scale 1024 \
+            --instr 10000 --frames 1 --warmup 100000 \
+            --json /tmp/gat_ci_${sched}_paranoia$paranoia.jsonl >/dev/null 2>&1
+    done
+    cmp /tmp/gat_ci_${sched}_paranoia0.jsonl /tmp/gat_ci_${sched}_paranoia1.jsonl
+done
+echo "SMS paranoia sweep: sms09 and sms0 identical with and without GAT_PARANOIA"
+
 echo "== benchmark byte identity (10 min cap) =="
 # One short pass of the repository benchmark at its default seed. Each
 # workload's result digest must match the digest the benchmark pins, and

@@ -358,8 +358,8 @@ impl SetAssocCache {
         }
     }
 
-    /// Hit bookkeeping shared by the memoized and scanned lookup paths:
-    /// replacement update, dirty marking, stats.
+    /// Hit bookkeeping for a lookup that found its line: replacement
+    /// update, dirty marking, stats.
     #[inline]
     fn record_hit(&mut self, set: u64, idx: usize, kind: AccessKind, source: Source) -> bool {
         let stamp = match self.cfg.policy {

@@ -15,15 +15,17 @@
 //! by a per-bank fast path that skips whole banks whose earliest command
 //! time has not arrived and scans only the issuable banks, instead of
 //! materializing a [`ReqInfo`] for every queued request every cycle.
-//! Policies with global state (SMS batching, priority boosts) still get
-//! the full [`ReqInfo`] view, built from the same queues. Note that
-//! insertion order is *not* arrival-stamp order at the rare points where
-//! the stamp's 12-bit per-cycle sequence wraps, so pick logic always
-//! compares stamps rather than trusting queue position.
+//! SMS keeps its stage-1 batches across cycles, re-forming them from the
+//! queues only when the queue, bank timing or write eligibility changes,
+//! and runs stage 2 off those batches on every cycle. The priority
+//! policies still get the full [`ReqInfo`] view, built from the same
+//! queues. Note that insertion order is *not* arrival-stamp order at the
+//! rare points where the stamp's 12-bit per-cycle sequence wraps, so pick
+//! logic always compares stamps rather than trusting queue position.
 
 use crate::energy::{DramEnergy, DramEnergyModel};
 use crate::mapping::DramCoord;
-use crate::sched::{ReqInfo, SchedCtx, SchedulerImpl};
+use crate::sched::{ReqInfo, SchedCtx, SchedulerImpl, Slot, SmsBatch, SmsPick, SmsReq};
 use crate::timing::DramTiming;
 use gat_cache::Source;
 use gat_sim::faults::DelayInjector;
@@ -59,9 +61,6 @@ struct Pending {
     /// stamps.
     arrival: u64,
 }
-
-/// Position of a queued request: `(bank, index in that bank's queue)`.
-type Slot = (usize, usize);
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Bank {
@@ -121,6 +120,27 @@ impl DramStats {
     }
 }
 
+/// Earliest cycle `p`'s first command can start on `bank`: a row hit
+/// waits for the bank (and, for a read, tWTR); a conflict also for the
+/// PRE's tRAS and write recovery; a closed bank also for the cross-bank
+/// tRRD window (`act_any_ready`).
+fn issuable_at(bank: &Bank, act_any_ready: u64, p: &Pending) -> u64 {
+    match bank.open_row {
+        Some(r) if r == p.coord.row => {
+            if p.req.write {
+                bank.cmd_ready
+            } else {
+                bank.cmd_ready.max(bank.read_after_write_ready)
+            }
+        }
+        Some(_) => bank
+            .cmd_ready
+            .max(bank.pre_ready)
+            .max(bank.pre_after_write_ready),
+        None => bank.cmd_ready.max(act_any_ready),
+    }
+}
+
 /// Write-buffering watermarks: writes are withheld from scheduling until
 /// their count crosses `WRITE_DRAIN_HI`, then drained in a burst down to
 /// `WRITE_DRAIN_LO` (or opportunistically when no reads are pending) —
@@ -152,6 +172,16 @@ pub struct DramChannel {
     /// Queue positions parallel to `info_buf` (maps a `select` index back
     /// to the picked entry).
     handle_buf: Vec<Slot>,
+    /// SMS stage-1 batches, kept across ticks (unused by other policies).
+    sms_batches: Vec<SmsBatch>,
+    /// [`Self::eligible_ready`] when `sms_batches` were formed.
+    sms_eligible_ready: u64,
+    /// The write eligibility `sms_batches` were formed under; `None` once
+    /// an enqueue, a removal or a REF has made them (or
+    /// `sms_eligible_ready`) stale.
+    sms_formed: Option<bool>,
+    /// Scratch for SMS's stage-1 input (never read across formations).
+    sms_reqs: Vec<SmsReq>,
     arrivals: u64,
     /// Queued writes (kept in lockstep with the queue so the per-tick
     /// write-drain hysteresis needs no queue pass).
@@ -202,6 +232,10 @@ impl DramChannel {
             done_min: u64::MAX,
             info_buf: Vec::new(),
             handle_buf: Vec::new(),
+            sms_batches: Vec::new(),
+            sms_eligible_ready: u64::MAX,
+            sms_formed: None,
+            sms_reqs: Vec::new(),
             arrivals: 0,
             queued_writes: 0,
             starved_until: 0,
@@ -267,8 +301,9 @@ impl DramChannel {
         self.arrivals += 1;
         self.queued_writes += usize::from(req.write);
         // A new arrival can change the starved verdict (it may be
-        // issuable at once, or flip write eligibility).
+        // issuable at once, or flip write eligibility) and SMS's batches.
         self.starved_until = 0;
+        self.sms_formed = None;
         self.bank_q[coord.bank as usize].push(Pending {
             req,
             coord,
@@ -283,6 +318,7 @@ impl DramChannel {
     /// requests across all banks).
     fn remove(&mut self, (bank, index): Slot) -> Pending {
         let p = self.bank_q[bank].remove(index);
+        self.sms_formed = None;
         self.len -= 1;
         self.queued_writes -= usize::from(p.req.write);
         p
@@ -298,41 +334,18 @@ impl DramChannel {
         for (bi, q) in self.bank_q.iter().enumerate() {
             let bank = &self.banks[bi];
             for (i, p) in q.iter().enumerate() {
-                let (row_hit, issuable_at) = match bank.open_row {
-                    Some(r) if r == p.coord.row => {
-                        let mut at = bank.cmd_ready;
-                        if !p.req.write {
-                            at = at.max(bank.read_after_write_ready);
-                        }
-                        (true, at)
-                    }
-                    Some(_) => {
-                        // Conflict: PRE first, gated by tRAS and write recovery.
-                        let at = bank
-                            .cmd_ready
-                            .max(bank.pre_ready)
-                            .max(bank.pre_after_write_ready);
-                        (false, at)
-                    }
-                    None => {
-                        let at = bank.cmd_ready.max(self.act_any_ready);
-                        (false, at)
-                    }
-                };
+                let at = issuable_at(bank, self.act_any_ready, p);
                 let eligible = !p.req.write || writes_eligible;
                 if eligible {
-                    eligible_ready = eligible_ready.min(issuable_at);
+                    eligible_ready = eligible_ready.min(at);
                 }
                 self.info_buf.push(ReqInfo {
                     is_gpu: p.req.source.is_gpu(),
-                    source_id: p.req.source.encode(),
                     is_write: p.req.write,
                     arrival: p.arrival,
-                    row_hit,
-                    issuable: issuable_at <= now,
+                    row_hit: bank.open_row == Some(p.coord.row),
+                    issuable: at <= now,
                     eligible,
-                    bank: p.coord.bank,
-                    row: p.coord.row,
                 });
                 self.handle_buf.push((bi, i));
             }
@@ -414,29 +427,69 @@ impl DramChannel {
     /// starved span, so the full walk amortizes over the skipped cycles.
     fn eligible_ready(&self, writes_eligible: bool) -> u64 {
         let mut ready = u64::MAX;
-        for (bi, q) in self.bank_q.iter().enumerate() {
-            let bank = &self.banks[bi];
+        for (q, bank) in self.bank_q.iter().zip(&self.banks) {
             for p in q {
                 if !p.req.write || writes_eligible {
-                    let at = match bank.open_row {
-                        Some(r) if r == p.coord.row => {
-                            let mut at = bank.cmd_ready;
-                            if !p.req.write {
-                                at = at.max(bank.read_after_write_ready);
-                            }
-                            at
-                        }
-                        Some(_) => bank
-                            .cmd_ready
-                            .max(bank.pre_ready)
-                            .max(bank.pre_after_write_ready),
-                        None => bank.cmd_ready.max(self.act_any_ready),
-                    };
-                    ready = ready.min(at);
+                    ready = ready.min(issuable_at(bank, self.act_any_ready, p));
                 }
             }
         }
         ready
+    }
+
+    /// SMS stage-1 input: every eligible queued request into `out`.
+    /// Returns [`Self::eligible_ready`] from the same walk.
+    fn sms_reqs(&self, writes_eligible: bool, out: &mut Vec<SmsReq>) -> u64 {
+        out.clear();
+        let mut ready = u64::MAX;
+        for (bi, (q, bank)) in self.bank_q.iter().zip(&self.banks).enumerate() {
+            for (i, p) in q.iter().enumerate() {
+                if !p.req.write || writes_eligible {
+                    let at = issuable_at(bank, self.act_any_ready, p);
+                    ready = ready.min(at);
+                    out.push(SmsReq {
+                        source: p.req.source.encode(),
+                        arrival: p.arrival,
+                        bank: p.coord.bank,
+                        row: p.coord.row,
+                        issuable_at: at,
+                        slot: (bi, i),
+                    });
+                }
+            }
+        }
+        ready
+    }
+
+    /// SMS's pick for this cycle. The batches are re-formed only when
+    /// stale or formed under the other write eligibility; they (and
+    /// `sms_eligible_ready`) depend on nothing else, since bank timing
+    /// moves only on an issue (which removes a request) or a REF.
+    fn sms_pick(&mut self, now: u64, writes_eligible: bool) -> Option<Slot> {
+        if self.sms_formed != Some(writes_eligible) {
+            let mut reqs = std::mem::take(&mut self.sms_reqs);
+            self.sms_eligible_ready = self.sms_reqs(writes_eligible, &mut reqs);
+            let sms = self.scheduler.sms_mut()?;
+            sms.form_batches(&mut reqs, &mut self.sms_batches);
+            self.sms_reqs = reqs;
+            self.sms_formed = Some(writes_eligible);
+        }
+        // Starved: no eligible request can start a first command, so the
+        // policy coin and the round-robin cursor must not move, or the
+        // RNG stream would depend on how many starved cycles the channel
+        // ticked through (see `pure_when_starved`).
+        if now < self.sms_eligible_ready {
+            return None;
+        }
+        match self
+            .scheduler
+            .sms_mut()?
+            .pick(&self.sms_batches, now, self.len)
+        {
+            SmsPick::Head(slot) => Some(slot),
+            SmsPick::FrFcfs => self.frfcfs_fast_pick(now, writes_eligible),
+            SmsPick::Idle => None,
+        }
     }
 
     /// Issue a REF when due: precharge all banks and hold the rank for
@@ -455,8 +508,10 @@ impl DramChannel {
             b.pre_ready = 0;
         }
         self.act_any_ready = self.act_any_ready.max(end);
-        // REF rewrites bank timing, so any cached starved verdict is stale.
+        // REF rewrites bank timing, so any cached starved verdict (and
+        // SMS's cached head and eligible readiness) is stale.
         self.starved_until = 0;
+        self.sms_formed = None;
         self.next_refresh += self.timing.t_refi;
         self.stats.refreshes.inc();
         self.energy.refresh_pj += self.energy_model.refresh_pj;
@@ -502,19 +557,42 @@ impl DramChannel {
             self.draining_writes = false;
         }
         let writes_eligible = self.draining_writes || writes == self.len;
-        if self.scheduler.frfcfs_equivalent(ctx) {
+        // `ready` is the earliest `issuable_at` over eligible requests,
+        // needed only when nothing is picked.
+        let (picked, ready) = if self.scheduler.sms_mut().is_some() {
+            (self.sms_pick(now, writes_eligible), self.sms_eligible_ready)
+        } else if self.scheduler.frfcfs_equivalent(ctx) {
             match self.frfcfs_fast_pick(now, writes_eligible) {
-                Some(slot) => {
-                    let p = self.remove(slot);
-                    self.issue(p, now);
-                }
-                None if self.sched_starved_skip => {
-                    self.starved_until = self.eligible_ready(writes_eligible);
-                }
-                None => {}
+                Some(slot) => (Some(slot), 0),
+                None => (None, self.eligible_ready(writes_eligible)),
             }
-            return;
+        } else {
+            self.generic_pick(now, writes_eligible, ctx)
+        };
+        match picked {
+            Some(slot) => {
+                let p = self.remove(slot);
+                self.issue(p, now);
+            }
+            None if self.sched_starved_skip => {
+                // If nothing was issuable+eligible, that verdict holds
+                // until the earliest bank-ready time (enqueue/REF clear
+                // it sooner); otherwise `ready <= now` and this is a
+                // no-op.
+                self.starved_until = ready;
+            }
+            None => {}
         }
+    }
+
+    /// Pick through the installed policy's `select` over a freshly built
+    /// [`ReqInfo`] view; also returns [`Self::eligible_ready`].
+    fn generic_pick(
+        &mut self,
+        now: u64,
+        writes_eligible: bool,
+        ctx: SchedCtx,
+    ) -> (Option<Slot>, u64) {
         let eligible_ready = self.build_req_infos(now, writes_eligible);
         let picked = self.scheduler.select(&self.info_buf, now, ctx);
         if let Some(idx) = picked {
@@ -526,19 +604,7 @@ impl DramChannel {
         let picked = picked.map(|idx| self.handle_buf[idx]);
         self.info_buf.clear();
         self.handle_buf.clear();
-        match picked {
-            Some(slot) => {
-                let p = self.remove(slot);
-                self.issue(p, now);
-            }
-            None if self.sched_starved_skip => {
-                // Work-conserving policy found nothing issuable+eligible;
-                // that verdict holds until the earliest bank-ready time
-                // (enqueue/REF clear it sooner).
-                self.starved_until = eligible_ready;
-            }
-            None => {}
-        }
+        (picked, eligible_ready)
     }
 
     fn issue(&mut self, p: Pending, now: u64) {
@@ -668,22 +734,27 @@ impl DramChannel {
         }
         assert_eq!(queued, self.len, "queue length drift");
         assert_eq!(writes, self.queued_writes, "queued-write count drift");
-    }
-
-    /// Drop all queued and in-flight state (phase boundaries).
-    pub fn reset_state(&mut self) {
-        for q in &mut self.bank_q {
-            q.clear();
+        // SMS's kept batches must be what a fresh formation would give.
+        // Forming into a local buffer leaves the coin and cursor alone.
+        if let (Some(formed), SchedulerImpl::Sms(sms) | SchedulerImpl::SmsUnskipped(sms)) =
+            (self.sms_formed, &self.scheduler)
+        {
+            let writes_eligible = self.draining_writes || self.queued_writes == self.len;
+            assert_eq!(
+                formed, writes_eligible,
+                "SMS batches kept across a write-eligibility flip"
+            );
+            // gat-lint: allow(R8, "paranoia-only check (GAT_PARANOIA sweeps, tests), never on the production tick")
+            let (mut reqs, mut fresh) = (Vec::new(), Vec::new());
+            let ready = self.sms_reqs(writes_eligible, &mut reqs);
+            sms.form_batches(&mut reqs, &mut fresh);
+            assert_eq!(fresh, self.sms_batches, "stale SMS batches");
+            assert_eq!(
+                ready, self.sms_eligible_ready,
+                "stale SMS eligible-ready cycle"
+            );
+            assert_eq!(ready, self.eligible_ready(writes_eligible));
         }
-        self.len = 0;
-        self.queued_writes = 0;
-        self.starved_until = 0;
-        self.completions.clear();
-        self.done_min = u64::MAX;
-        self.banks.fill(Bank::default());
-        self.bus_free_at = 0;
-        self.act_any_ready = 0;
-        self.next_refresh = self.timing.t_refi;
     }
 }
 
@@ -1177,5 +1248,88 @@ mod tests {
         );
         let generic = drive(SchedulerKind::StaticCpuPrio.build(0));
         assert_eq!(fast, generic, "fast path diverged from generic at wrap");
+    }
+
+    /// SMS's anti-deadlock fallback: with 56 requests queued and no batch
+    /// ready, it serves like FR-FCFS instead of idling until a batch ages.
+    #[test]
+    fn sms_serves_frfcfs_when_nearly_full_and_no_batch_is_ready() {
+        let mut ch = DramChannel::new(
+            DramTiming::ddr3_2133(),
+            8,
+            64,
+            SchedulerKind::Sms(0.9).build(7),
+        );
+        // 7 same-row reads from each of 8 CPU sources, one bank per
+        // source, all in cycle 0: every batch is one short of full,
+        // unbroken and young, so none is ready before cycle 8.
+        for src in 0..8u8 {
+            for k in 0..7u64 {
+                let id = u64::from(src) * 7 + k;
+                let coord = DramCoord {
+                    channel: 0,
+                    bank: u32::from(src),
+                    row: 1,
+                    col: k as u32,
+                };
+                let req = DramRequest {
+                    id,
+                    addr: 0,
+                    write: false,
+                    source: Source::Cpu(src),
+                };
+                ch.enqueue(req, coord, 0);
+            }
+        }
+        assert_eq!(ch.queue_len(), 56);
+        let mut issued_at = Vec::new();
+        let mut out = Vec::new();
+        let mut now = 0;
+        while ch.busy() {
+            let before = ch.queue_len();
+            ch.tick(now, SchedCtx::default());
+            ch.check_queue_invariants();
+            if ch.queue_len() < before {
+                issued_at.push(now);
+            }
+            ch.drain_completions(now, &mut out);
+            now += 1;
+            assert!(now < 100_000, "wedged");
+        }
+        // The oldest request (a closed-bank ACT, done at tRCD + tCL +
+        // tBURST) issues at cycle 0 through the fallback; the queue then
+        // drops below 56 and SMS waits for its batches to age.
+        assert_eq!(issued_at[..3], [0, 15, 18]);
+        let first: Vec<(u64, u64)> = out.iter().take(3).map(|c| (c.id, c.done_at)).collect();
+        assert_eq!(first, [(0, 32), (7, 47), (1, 51)]);
+    }
+
+    /// A REF rewrites bank timing under SMS's kept batches, so it must
+    /// mark them stale: the head's `issuable_at` and the eligible-ready
+    /// cycle both move out to the end of tRFC.
+    #[test]
+    fn sms_batches_reform_after_refresh() {
+        let t = DramTiming::ddr3_2133();
+        let mut ch = DramChannel::new(
+            DramTiming::ddr3_2133(),
+            8,
+            64,
+            SchedulerKind::Sms(0.9).build(7),
+        );
+        // Two young same-row reads just before the REF: their batch waits
+        // to age, so the batches formed at `start` are live when it lands.
+        let start = t.t_refi - 4;
+        ch.enqueue(read(1, 0), MAP.decompose(0), start);
+        ch.enqueue(read(2, 128), MAP.decompose(128), start);
+        let mut out = Vec::new();
+        let mut now = start;
+        while ch.busy() {
+            ch.tick(now, SchedCtx::default());
+            ch.check_queue_invariants();
+            ch.drain_completions(now, &mut out);
+            now += 1;
+        }
+        assert_eq!(ch.stats.refreshes.get(), 1);
+        assert!(out[0].done_at >= t.t_refi + t.t_rfc + t.t_rcd + t.t_cl);
     }
 }

@@ -195,11 +195,6 @@ impl Ring {
         self.in_flight.is_empty()
     }
 
-    pub fn reset_state(&mut self) {
-        self.in_flight.clear();
-        self.inject_free.fill([0, 0]);
-    }
-
     /// Current injection width of a stop.
     pub fn stop_width(&self, stop: StopId) -> u32 {
         self.widths[usize::from(stop.0)]

@@ -442,7 +442,7 @@ fn r11_passes_exhaustive_matches_and_unguarded_enums() {
 /// opt-in lines, since an item-level `expect` passes without them.
 #[test]
 fn pragma_census_matches_the_audited_inventory() {
-    const EXPECTED_PRAGMAS: usize = 1;
+    const EXPECTED_PRAGMAS: usize = 2;
     const EXPECTED_CLIPPY_EXPECTS: usize = 14;
     const EXPECTED_CLIPPY_FIXTURES: usize = 20;
 

@@ -150,14 +150,16 @@ proptest! {
         reqs in prop::collection::vec((any::<u64>(), any::<bool>(), any::<bool>()), 1..60),
         boost in any::<bool>(),
         urgent in any::<bool>(),
+        ahead in any::<bool>(),
     ) {
-        let ctx = SchedCtx { cpu_prio_boost: boost, gpu_urgent: urgent, gpu_ahead: false };
+        let ctx = SchedCtx { cpu_prio_boost: boost, gpu_urgent: urgent, gpu_ahead: ahead };
         for kind in [
             SchedulerKind::FrFcfs,
             SchedulerKind::FrFcfsCpuPrio,
             SchedulerKind::Sms(0.9),
             SchedulerKind::Sms(0.0),
             SchedulerKind::DynPrio,
+            SchedulerKind::StaticCpuPrio,
         ] {
             let done = drive(kind, &reqs, ctx);
             prop_assert_eq!(done.len(), reqs.len(), "{:?} lost requests", kind);
