@@ -184,17 +184,8 @@ impl MshrFile {
         self.len -= 1;
     }
 
-    /// The data for `block` returned: free the entry and hand back every
-    /// queued requester token (primary first, then merge order).
-    pub fn complete(&mut self, block: u64) -> Vec<u64> {
-        // gat-lint: allow(R8, "returning convenience wrapper; the tick path calls complete_into with a reused buffer")
-        let mut out = Vec::new();
-        self.complete_into(block, &mut out);
-        out
-    }
-
-    /// Allocation-free [`Self::complete`]: append every queued requester
-    /// token for `block` to `out` (primary first, then merge order) and
+    /// The data for `block` returned: free the entry, append every queued
+    /// requester token to `out` (primary first, then merge order) and
     /// recycle the entry's storage. Appends nothing for an unknown block.
     pub fn complete_into(&mut self, block: u64, out: &mut Vec<u64>) {
         if let Some((p, s)) = self.find(block) {
@@ -318,7 +309,9 @@ mod tests {
         assert_eq!(m.allocate(100, 3), MshrOutcome::Merged);
         assert!(m.contains(100));
         assert_eq!(m.occupancy(), 1);
-        assert_eq!(m.complete(100), vec![1, 2, 3]);
+        let mut out = Vec::new();
+        m.complete_into(100, &mut out);
+        assert_eq!(out, [1, 2, 3]);
         assert!(!m.contains(100));
         assert_eq!(m.merge_count(), 2);
     }
@@ -333,7 +326,7 @@ mod tests {
         // Merging into an existing entry still works at capacity.
         assert_eq!(m.allocate(1, 13), MshrOutcome::Merged);
         assert_eq!(m.stall_count(), 1);
-        m.complete(1);
+        m.complete_into(1, &mut Vec::new());
         assert_eq!(m.allocate(3, 12), MshrOutcome::Primary);
     }
 
@@ -358,14 +351,16 @@ mod tests {
         assert!(!m.can_allocate(3), "no free entry");
         assert_eq!(m.allocate(3, 13), MshrOutcome::Full);
         assert_eq!(m.stall_count(), 1, "the probe recorded no stall");
-        m.complete(1);
+        m.complete_into(1, &mut Vec::new());
         assert!(m.can_allocate(1) && m.can_allocate(3));
     }
 
     #[test]
     fn complete_unknown_block_is_empty() {
         let mut m = MshrFile::new(2, 2);
-        assert!(m.complete(42).is_empty());
+        let mut out = Vec::new();
+        m.complete_into(42, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -375,7 +370,7 @@ mod tests {
             m.allocate(b, b);
         }
         for b in 0..5 {
-            m.complete(b);
+            m.complete_into(b, &mut Vec::new());
         }
         assert_eq!(m.occupancy(), 0);
         assert_eq!(m.peak_occupancy(), 5);
@@ -390,7 +385,7 @@ mod tests {
         m.allocate(2, 12);
         m.allocate(3, 13); // Full: rejected, nothing recorded
         m.check_invariants().unwrap();
-        m.complete(1);
+        m.complete_into(1, &mut Vec::new());
         m.cancel(2);
         m.check_invariants().unwrap();
         assert_eq!(m.occupancy(), 0);

@@ -744,7 +744,7 @@ impl DramChannel {
                 formed, writes_eligible,
                 "SMS batches kept across a write-eligibility flip"
             );
-            // gat-lint: allow(R8, "paranoia-only check (GAT_PARANOIA sweeps, tests), never on the production tick")
+            // Paranoia-only, so these buffers are never on the production tick.
             let (mut reqs, mut fresh) = (Vec::new(), Vec::new());
             let ready = self.sms_reqs(writes_eligible, &mut reqs);
             sms.form_batches(&mut reqs, &mut fresh);

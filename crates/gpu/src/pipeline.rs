@@ -169,6 +169,9 @@ pub struct GpuPipeline {
 
     // Stage queues.
     emit_stage: VecDeque<(u32, Vec<u64>)>, // group id + texel addrs left
+    /// Emptied texel buffers from retired `emit_stage` entries, reused by
+    /// `texel_addrs` so emitting a group allocates nothing.
+    spare_texels: Vec<Vec<u64>>,
     shade_ready: VecDeque<u32>,
     shading: VecDeque<u32>,
     rop_in: VecDeque<u32>,
@@ -222,6 +225,7 @@ impl GpuPipeline {
             free: (0..cfg.max_inflight as u32).rev().collect(),
             inflight: 0,
             emit_stage: VecDeque::new(),
+            spare_texels: Vec::new(),
             shade_ready: VecDeque::new(),
             shading: VecDeque::new(),
             rop_in: VecDeque::new(),
@@ -426,16 +430,16 @@ impl GpuPipeline {
         let near_span: u64 = 2 << 10;
         let step: u64 = 512;
         let center = (u64::from(group_in_tile) * step) % window.saturating_sub(near_span).max(1);
-        (0..n)
-            .map(|_| {
-                let off = if self.rng.chance(0.9) {
-                    center + self.rng.below(near_span)
-                } else {
-                    self.rng.below(window)
-                };
-                self.tex_base + window_start + off
-            })
-            .collect()
+        let mut addrs = self.spare_texels.pop().unwrap_or_default();
+        for _ in 0..n {
+            let off = if self.rng.chance(0.9) {
+                center + self.rng.below(near_span)
+            } else {
+                self.rng.below(window)
+            };
+            addrs.push(self.tex_base + window_start + off);
+        }
+        addrs
     }
 
     // ---- per-cycle stages ----------------------------------------------
@@ -639,8 +643,10 @@ impl GpuPipeline {
             if stalled {
                 break;
             }
-            // All texels issued: classify the group.
-            self.emit_stage.pop_front();
+            // All texels issued: recycle the buffer and classify the group.
+            if let Some((_, texels)) = self.emit_stage.pop_front() {
+                self.spare_texels.push(texels);
+            }
             let g = &mut self.groups[gid as usize];
             if g.tex_left == 0 {
                 g.state = GState::ReadyShade;

@@ -42,6 +42,13 @@ fn r2_clocks_threads_and_env_reads_fire() {
 }
 
 #[test]
+fn r12_wall_durations_fire() {
+    #[expect(clippy::disallowed_types, reason = "fixture: R12 must fire")]
+    let budget: Option<std::time::Duration> = None;
+    assert!(budget.is_none());
+}
+
+#[test]
 fn r3_rng_construction_and_forking_fire() {
     #[expect(clippy::disallowed_methods, reason = "fixture: R3 must fire")]
     let root = SimRng::new(7);

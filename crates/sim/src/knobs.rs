@@ -17,7 +17,7 @@
 //! Knobs are read at system-construction time only — never per tick — so
 //! a run's configuration is fixed the moment the machine is built. Adding
 //! a knob means adding an accessor here *and* documenting it in DESIGN.md
-//! (gat-lint rule R6 cross-checks the literals against the docs).
+//! (`tests/lint_rules.rs` checks every literal here against DESIGN.md).
 
 #![expect(
     clippy::disallowed_methods,

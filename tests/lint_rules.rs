@@ -1,148 +1,224 @@
-//! Static-analysis suite (DESIGN.md §10). For gat-lint's rules (R6, R8,
-//! R12): passing and failing cases per rule, the pragma machinery, and
-//! the capstone check that the real tree is lint-clean. For the rules
-//! clippy enforces (R1–R5, R9, R11): the wiring a plain `cargo test` can
-//! see — `clippy.toml` entries, crate-root opt-ins, and the sanctioned
-//! suppression sites. Whether clippy actually fires is pinned by the
-//! `expect` fixtures in `crates/sim/src/clippy_fixtures.rs`, which only
+//! Static-analysis suite (DESIGN.md §10). Clippy enforces the
+//! determinism rules R1–R5, R9, R11 and R12; this file pins the wiring a
+//! plain `cargo test` can see — `clippy.toml` entries, crate-root
+//! opt-ins, and the sanctioned suppression sites. Whether clippy actually
+//! fires is pinned by the `expect` fixtures in
+//! `crates/sim/src/clippy_fixtures.rs`, which only
 //! `cargo clippy -- -D warnings` checks.
 //!
-//! gat-lint fixtures are linted fully in memory via
-//! [`gat_lint::lint_sources`], so the failing snippets never exist as
-//! workspace files (the linter would otherwise flag its own test data).
+//! Two source checks have no clippy lint and run here over the tree: R6
+//! (every bench `--flag` is in README.md and every `GAT_*` knob in
+//! DESIGN.md) and R12's name half (no sim-crate identifier is in
+//! milliseconds). R8 (no per-tick heap allocation) is measured at run
+//! time by `tests/no_tick_alloc.rs`.
 
-use gat_lint::lexer::{lex, Tok};
-use gat_lint::policy::SIM_CRATES;
-use gat_lint::{lint_sources, lint_workspace, Finding, SourceFile};
 use std::path::Path;
 
-/// Lint one synthetic sim-state file against empty docs.
-fn lint_sim(src: &str) -> Vec<Finding> {
-    let files = vec![SourceFile {
-        path: "crates/cache/src/fixture.rs".into(),
-        text: src.into(),
-    }];
-    lint_sources(&files, "", "")
-}
-
-fn rules(findings: &[Finding]) -> Vec<&'static str> {
-    findings.iter().map(|f| f.rule.as_str()).collect()
-}
-
-// --- R8: per-tick heap allocation --------------------------------------
-
-/// Lint one synthetic file at a tick-path module path (rule R8 applies).
-fn lint_tick_path(src: &str) -> Vec<Finding> {
-    let files = vec![SourceFile {
-        path: "crates/dram/src/channel.rs".into(),
-        text: src.into(),
-    }];
-    lint_sources(&files, "", "")
-}
-
-#[test]
-fn r8_flags_per_tick_allocation_in_tick_path_modules() {
-    let cases = [
-        "pub fn tick(&mut self) { self.q = Vec::new(); }",
-        "pub fn tick(&mut self) { let scratch = vec![0u64; 8]; }",
-        "pub fn tick(&mut self) { self.policy = Box::new(FrFcfs); }",
-        "pub fn drain(&mut self) { let ids = self.q.iter().map(|p| p.id).collect::<Vec<_>>(); }",
-    ];
-    for src in cases {
-        let f = lint_tick_path(src);
-        assert_eq!(rules(&f), vec!["R8"], "fixture: {src}");
-        assert!(f[0].message.contains("per-tick heap allocation"));
-    }
-}
-
-#[test]
-fn r8_does_not_apply_outside_the_tick_path_list() {
-    // The same allocation in a non-tick-path sim module is fine: R8 is a
-    // budget rule for the hot layers, not a workspace-wide ban.
-    let f = lint_sim("pub fn build(&mut self) { self.q = Vec::new(); }");
-    assert!(f.is_empty(), "{f:?}");
-}
-
-#[test]
-fn r8_exempts_constructors_tests_and_reasoned_pragmas() {
-    // `fn new` is where pool allocation belongs.
-    let f = lint_tick_path(
-        "impl Channel {\n    pub fn new(banks: usize) -> Self {\n        Self { banks: vec![Bank::default(); banks], completions: Vec::new() }\n    }\n}\n",
-    );
-    assert!(f.is_empty(), "{f:?}");
-    // Test harness code allocates freely.
-    let f = lint_tick_path(
-        "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { let _ = Vec::<u64>::new(); }\n}\n",
-    );
-    assert!(f.is_empty(), "{f:?}");
-    // A cold path keeps its allocation with a justification.
-    let f = lint_tick_path(
-        "// gat-lint: allow(R8, \"diagnostic dump, runs once per failure\")\npub fn dump(&self) -> Vec<u64> { self.q.iter().map(|p| p.id).collect::<Vec<_>>() }\n",
-    );
-    assert!(f.is_empty(), "{f:?}");
-}
+/// Crates whose `src/` trees hold simulator state: the ones that opt in
+/// to the clippy determinism lints and carry R12's name rule.
+const SIM_CRATES: [&str; 10] = [
+    "sim",
+    "cache",
+    "cpu",
+    "gpu",
+    "dram",
+    "ring",
+    "core",
+    "hetero",
+    "policies",
+    "workloads",
+];
 
 // --- R6: docs/source consistency --------------------------------------
 
+/// One token of Rust source: a word (identifier, keyword or number), a
+/// string literal's contents, or any other character. Comments, char
+/// literals and whitespace are dropped.
+enum Tok {
+    Word(String),
+    Str(String),
+    Punct(char),
+}
+
+fn tokens(src: &str) -> Vec<Tok> {
+    let word = |c: &char| c.is_alphanumeric() || *c == '_';
+    let mut out = Vec::new();
+    let mut chars = src.chars().peekable();
+    while let Some(c) = chars.next() {
+        match c {
+            '/' if chars.peek() == Some(&'/') => {
+                chars.find(|&c| c == '\n');
+            }
+            // Char literals: `'"'` must not open a string.
+            '\'' if chars.clone().nth(1) == Some('\'') => {
+                chars.nth(1);
+            }
+            '\'' if chars.peek() == Some(&'\\') => {
+                chars.nth(1);
+                chars.find(|&c| c == '\'');
+            }
+            '"' => {
+                let mut lit = String::new();
+                while let Some(c) = chars.next() {
+                    match c {
+                        '"' => break,
+                        '\\' => lit.extend(chars.next()),
+                        c => lit.push(c),
+                    }
+                }
+                out.push(Tok::Str(lit));
+            }
+            c if word(&c) => {
+                let mut w = String::from(c);
+                while let Some(c) = chars.next_if(word) {
+                    w.push(c);
+                }
+                out.push(Tok::Word(w));
+            }
+            c if c.is_whitespace() => {}
+            c => out.push(Tok::Punct(c)),
+        }
+    }
+    out
+}
+
+/// The string literals of Rust source `src`.
+fn string_literals(src: &str) -> impl Iterator<Item = String> {
+    tokens(src).into_iter().filter_map(|t| match t {
+        Tok::Str(s) => Some(s),
+        Tok::Word(_) | Tok::Punct(_) => None,
+    })
+}
+
+/// The `--flag` words in a string literal (usage text, match arms).
+fn flags_in(lit: &str) -> Vec<String> {
+    lit.match_indices("--")
+        .filter(|&(i, _)| !lit[..i].ends_with(|c: char| c == '-' || c.is_ascii_alphanumeric()))
+        .map(|(i, _)| &lit[i..])
+        .filter(|rest| rest[2..].starts_with(|c: char| c.is_ascii_lowercase()))
+        .map(|rest| {
+            let end = rest[2..].find(|c| !flag_continues(c));
+            rest[..end.map_or(rest.len(), |e| e + 2)].to_string()
+        })
+        .collect()
+}
+
+/// Would `c` extend a `--flag` word? (so `--out` is not satisfied by a
+/// README that only mentions `--output`).
+fn flag_continues(c: char) -> bool {
+    c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-'
+}
+
+/// Would `c` extend a `GAT_*` knob name?
+fn knob_continues(c: char) -> bool {
+    c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'
+}
+
+/// Is `lit` exactly a `GAT_*` knob name?
+fn is_knob(lit: &str) -> bool {
+    lit.strip_prefix("GAT_")
+        .is_some_and(|rest| !rest.is_empty() && rest.chars().all(knob_continues))
+}
+
+/// Does `doc` mention `name` as a whole word (per the continuation class)?
+fn mentions(doc: &str, name: &str, continues: fn(char) -> bool) -> bool {
+    doc.match_indices(name)
+        .any(|(i, _)| !doc[i + name.len()..].starts_with(continues))
+}
+
+/// R6: the `--flag`s of the bench binaries `bins` missing from `readme`,
+/// then the `GAT_*` knobs of the knob module `knobs` missing from
+/// `design`. Only the knob module's non-test part counts: it is the one
+/// place clippy lets a knob be read.
+fn undocumented(bins: &[String], knobs: &str, readme: &str, design: &str) -> Vec<String> {
+    let knobs = knobs.split("#[cfg(test)]").next().unwrap_or_default();
+    let flags = bins
+        .iter()
+        .flat_map(|b| string_literals(b))
+        .flat_map(|l| flags_in(&l));
+    let mut missing: Vec<String> = flags
+        .filter(|f| !mentions(readme, f, flag_continues))
+        .map(|f| format!("{f} (README.md)"))
+        .collect();
+    missing.extend(
+        string_literals(knobs)
+            .filter(|k| is_knob(k) && !mentions(design, k, knob_continues))
+            .map(|k| format!("{k} (DESIGN.md)")),
+    );
+    missing.sort();
+    missing.dedup();
+    missing
+}
+
 #[test]
 fn r6_flags_undocumented_flags_and_knobs() {
-    let bin = vec![SourceFile {
-        path: "crates/bench/src/bin/fixture.rs".into(),
-        text: r#"fn main() { let _ = ("--novel-flag", "GAT_NOVEL_KNOB"); }"#.into(),
-    }];
-    let f = lint_sources(&bin, "README without the flag", "DESIGN without the knob");
-    assert_eq!(rules(&f), vec!["R6", "R6"]);
-    assert!(f[0].message.contains("--novel-flag") && f[0].message.contains("README.md"));
-    assert!(f[1].message.contains("GAT_NOVEL_KNOB") && f[1].message.contains("DESIGN.md"));
+    let bin = r#"fn main() { let _ = ("--novel-flag", '"', '\n', "--scale"); }"#;
+    let knobs = r#"fn k() -> bool { switch("GAT_NOVEL_KNOB") }
+#[cfg(test)]
+mod tests { const UNSET: &str = "GAT_TEST_ONLY"; }"#;
+    let missing = undocumented(&[bin.into()], knobs, "use --scale N", "no knobs here");
+    assert_eq!(
+        missing,
+        ["--novel-flag (README.md)", "GAT_NOVEL_KNOB (DESIGN.md)"]
+    );
 }
 
 #[test]
 fn r6_passes_documented_names_with_word_boundaries() {
-    let bin = vec![SourceFile {
-        path: "crates/bench/src/bin/fixture.rs".into(),
-        text: r#"fn main() { let _ = ("--out", "GAT_NOVEL_KNOB"); }"#.into(),
-    }];
+    let bin = r#"fn main() { let _ = "usage: x [--out PATH] -- --3d a--b"; }"#;
+    let knobs = r#"fn k() -> bool { switch("GAT_NOVEL_KNOB") }"#;
+    let design = "GAT_NOVEL_KNOB documented";
     // `--output` alone must NOT satisfy `--out`.
-    let f = lint_sources(&bin, "mentions --output only", "GAT_NOVEL_KNOB documented");
-    assert_eq!(rules(&f), vec!["R6"]);
-    let f = lint_sources(&bin, "use `--out PATH`", "GAT_NOVEL_KNOB documented");
-    assert!(f.is_empty(), "{f:?}");
+    let missing = undocumented(&[bin.into()], knobs, "mentions --output only", design);
+    assert_eq!(missing, ["--out (README.md)"]);
+    assert!(undocumented(&[bin.into()], knobs, "use `--out PATH`", design).is_empty());
+    // Nor does `GAT_NOVEL_KNOBS` satisfy `GAT_NOVEL_KNOB`.
+    let missing = undocumented(&[], knobs, "", "GAT_NOVEL_KNOBS");
+    assert_eq!(missing, ["GAT_NOVEL_KNOB (DESIGN.md)"]);
 }
 
 // --- R12: cycle/millisecond unit confusion ------------------------------
 
+/// R12's name half: the identifiers in `src` that name a millisecond
+/// value (`budget_ms`, `WALL_MILLIS`). The type half is clippy's
+/// `std::time::Duration` entry.
+fn ms_idents(src: &str) -> Vec<String> {
+    let millis = |w: &str| w.ends_with("_ms") || w.ends_with("_millis");
+    tokens(src)
+        .into_iter()
+        .filter_map(|t| match t {
+            Tok::Word(w) if millis(&w.to_ascii_lowercase()) => Some(w),
+            Tok::Word(_) | Tok::Str(_) | Tok::Punct(_) => None,
+        })
+        .collect()
+}
+
 #[test]
 fn r12_flags_cycle_millis_arithmetic() {
-    let f = lint_sim(
-        "pub fn f(deadline_cycles: u64, budget_ms: u64) -> u64 {\n    deadline_cycles + budget_ms\n}\n",
-    );
-    assert_eq!(rules(&f), vec!["R12"], "{f:?}");
-    assert_eq!(f[0].line, 2);
-    // Comparisons confuse units just as silently as sums.
-    let f = lint_sim(
-        "pub fn late(now_cycle: u64, wall_ms: u64) -> bool {\n    now_cycle > wall_ms\n}\n",
-    );
-    assert_eq!(rules(&f), vec!["R12"], "{f:?}");
+    let src = "pub fn f(deadline_cycles: u64, budget_ms: u64) -> u64 {\n    deadline_cycles + budget_ms\n}\n";
+    assert_eq!(ms_idents(src), ["budget_ms", "budget_ms"]);
+    assert_eq!(ms_idents("const WALL_MILLIS: u64 = 5;"), ["WALL_MILLIS"]);
 }
 
 #[test]
 fn r12_passes_single_unit_code_and_conversions() {
     // One unit per expression: fine.
-    let f = lint_sim("pub fn f(a_cycles: u64, b_cycles: u64) -> u64 { a_cycles + b_cycles }\n");
-    assert!(f.is_empty(), "{f:?}");
-    let f = lint_sim("pub fn f(a_ms: u64, b_ms: u64) -> u64 { a_ms + b_ms }\n");
-    assert!(f.is_empty(), "{f:?}");
-    // Multiplication/division is the conversion idiom, not the bug.
-    let f = lint_sim(
-        "pub fn to_cycles(budget_ms: u64, cycles_per_ms: u64) -> u64 { budget_ms * cycles_per_ms }\n",
+    assert!(
+        ms_idents("pub fn f(a_cycles: u64, b_cycles: u64) -> u64 { a_cycles + b_cycles }")
+            .is_empty()
     );
-    assert!(f.is_empty(), "{f:?}");
-    // Generic positions (`Vec<Cycle>`) are not comparisons.
-    let f = lint_sim("pub struct S { window_ms: u64, marks: Vec<Cycle> }\n");
-    assert!(f.is_empty(), "{f:?}");
+    // A conversion names its source unit up front, not as a suffix.
+    assert!(ms_idents("pub fn ms_to_cycles(ms: u64) -> u64 { ms * 4_000_000 }").is_empty());
+    // Words that merely end in "ms" are not millisecond values.
+    assert!(ms_idents("let forms = items_msg.len(); // platforms").is_empty());
 }
 
-// --- R1–R4, R9, R11: clippy's half --------------------------------------
+#[test]
+fn r12_bans_wall_durations() {
+    assert_eq!(configured("R12"), ["std::time::Duration"]);
+}
+
+// --- R1–R5, R9, R11: clippy's half --------------------------------------
 
 /// The restriction lints the sim crates opt in to at their crate roots.
 const OPT_IN_LINTS: [&str; 5] = [
@@ -195,37 +271,46 @@ impl LintAttr {
     }
 }
 
-/// The [`OPT_IN_LINTS`] attributes in one workspace file.
+/// The identifiers and the `reason` string inside the brackets of the
+/// attribute that starts `text`, or `None` while its brackets are still
+/// open. Brackets inside string literals do not count.
+fn scan_attr(text: &str) -> Option<(Vec<String>, Option<String>)> {
+    let (mut depth, mut idents, mut reason) = (0, Vec::<String>::new(), None);
+    for tok in tokens(text) {
+        match tok {
+            Tok::Punct('[') => depth += 1,
+            Tok::Punct(']') if depth == 1 => return Some((idents, reason)),
+            Tok::Punct(']') => depth -= 1,
+            Tok::Word(w) => idents.push(w),
+            Tok::Str(s) if idents.last().is_some_and(|l| l == "reason") => reason = Some(s),
+            Tok::Str(_) | Tok::Punct(_) => {}
+        }
+    }
+    None
+}
+
+/// The [`OPT_IN_LINTS`] attributes in one workspace file: each line that
+/// starts with `#[` or `#![`, extended until its brackets balance.
 fn lint_attrs(rel: &str) -> Vec<LintAttr> {
-    let toks = lex(&read(rel)).tokens;
-    let punct =
-        |i: usize, c: char| matches!(toks.get(i).map(|t| &t.tok), Some(Tok::Punct(p)) if *p == c);
+    let text = read(rel);
+    let mut lines = text.lines().enumerate();
     let mut out = Vec::new();
-    for i in (0..toks.len()).filter(|&i| punct(i, '#')) {
-        let inner = punct(i + 1, '!');
-        let open = i + 1 + usize::from(inner);
-        if !punct(open, '[') {
+    while let Some((i, line)) = lines.next() {
+        let mut attr = line.trim().to_string();
+        let inner = attr.starts_with("#![");
+        if !inner && !attr.starts_with("#[") {
             continue;
         }
-        let (mut depth, mut idents, mut reason) = (0, Vec::new(), None);
-        for t in &toks[open..] {
-            match &t.tok {
-                Tok::Punct('[') => depth += 1,
-                Tok::Punct(']') => depth -= 1,
-                Tok::Ident(s) => idents.push(s.clone()),
-                Tok::Str(s) if idents.last().is_some_and(|l| l == "reason") => {
-                    reason = Some(s.clone())
-                }
-                _ => {}
+        let (idents, reason) = loop {
+            match scan_attr(&attr) {
+                Some(scanned) => break scanned,
+                None => attr += &format!("\n{}", lines.next().expect("unclosed attribute").1),
             }
-            if depth == 0 {
-                break;
-            }
-        }
+        };
         let site = if inner {
             format!("{rel} (module)")
         } else {
-            format!("{rel}:{}", toks[i].line)
+            format!("{rel}:{}", i + 1)
         };
         let attr = LintAttr {
             site,
@@ -240,8 +325,23 @@ fn lint_attrs(rel: &str) -> Vec<LintAttr> {
     out
 }
 
+/// Every `.rs` file under `dir`, workspace-relative and sorted.
 fn rs_files(dir: &str) -> Vec<String> {
-    gat_lint::rs_files(root(), dir).unwrap_or_else(|e| panic!("{dir}: {e}"))
+    let mut out = Vec::new();
+    let mut dirs = vec![root().join(dir)];
+    while let Some(d) = dirs.pop() {
+        for entry in std::fs::read_dir(&d).unwrap_or_else(|e| panic!("{}: {e}", d.display())) {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let rel = path.strip_prefix(root()).unwrap();
+                out.push(rel.to_string_lossy().replace('\\', "/"));
+            }
+        }
+    }
+    out.sort();
+    out
 }
 
 /// Every attribute in `crates/*/src` that lowers an [`OPT_IN_LINTS`] lint.
@@ -432,49 +532,16 @@ fn r11_passes_exhaustive_matches_and_unguarded_enums() {
 
 // --- Suppression census --------------------------------------------------
 
-/// The audited inventory of suppressions. gat-lint pragmas: a new one (or
-/// a deleted one) must update the count *and* survive the capstone's
-/// unused-pragma check; any other `gat-lint:` comment counts as
-/// malformed. Clippy suppressions of the opt-in lints: each must be an
-/// `expect` — which `-D warnings` rejects once it suppresses nothing —
-/// whose reason cites its rule id or marks a fixture. The one `allow` is
-/// each sim crate's test exemption, and each sim crate must carry its
-/// opt-in lines, since an item-level `expect` passes without them.
+/// The audited inventory of suppressions. Each clippy suppression of an
+/// opt-in lint must be an `expect` — which `-D warnings` rejects once it
+/// suppresses nothing — whose reason cites its rule id or marks a
+/// fixture. The one `allow` is each sim crate's test exemption, and each
+/// sim crate must carry its opt-in lines, since an item-level `expect`
+/// passes without them.
 #[test]
 fn pragma_census_matches_the_audited_inventory() {
-    const EXPECTED_PRAGMAS: usize = 2;
     const EXPECTED_CLIPPY_EXPECTS: usize = 14;
-    const EXPECTED_CLIPPY_FIXTURES: usize = 20;
-
-    let mut pragmas: Vec<String> = Vec::new();
-    let mut malformed: Vec<String> = Vec::new();
-    for rel in rs_files("crates") {
-        if gat_lint::policy::classify(&rel) == gat_lint::policy::FileClass::Skip {
-            continue;
-        }
-        let lexed = lex(&read(&rel));
-        for pr in &lexed.pragmas {
-            pragmas.push(format!("{rel}:{} allow({})", pr.line, pr.rule));
-        }
-        for (line, problem) in &lexed.malformed {
-            malformed.push(format!("{rel}:{line} {problem}"));
-        }
-    }
-    assert_eq!(
-        pragmas.len(),
-        EXPECTED_PRAGMAS,
-        "pragma inventory drifted — re-audit and update the census:\n{}",
-        pragmas.join("\n")
-    );
-    assert!(
-        pragmas.iter().all(|p| p.ends_with("allow(R8)")),
-        "{pragmas:?}"
-    );
-    assert!(
-        malformed.is_empty(),
-        "gat-lint comments that are not pragmas:\n{}",
-        malformed.join("\n")
-    );
+    const EXPECTED_CLIPPY_FIXTURES: usize = 21;
 
     let test_exemption = "cfg_attr test allow clippy disallowed_types clippy disallowed_methods";
     let (mut expects, mut fixtures, mut exempt) = (Vec::new(), 0, Vec::new());
@@ -490,7 +557,7 @@ fn pragma_census_matches_the_audited_inventory() {
         );
         match a.rule() {
             Some("fixture") => fixtures += 1,
-            Some(rule @ ("R1" | "R2" | "R3" | "R4" | "R5" | "R9" | "R11")) => {
+            Some(rule @ ("R1" | "R2" | "R3" | "R4" | "R5" | "R9" | "R11" | "R12")) => {
                 expects.push(format!("{site} {rule}"))
             }
             _ => panic!("{site}: the reason must cite its rule id, as in \"R2: why\""),
@@ -517,96 +584,39 @@ fn pragma_census_matches_the_audited_inventory() {
     }
 }
 
-// --- Pragmas -----------------------------------------------------------
-
-#[test]
-fn pragma_suppresses_the_named_rule_on_the_next_line() {
-    let f = lint_sim(
-        "// gat-lint: allow(R12, \"fixture justification\")\npub fn f(t_cycles: u64, t_ms: u64) -> bool { t_cycles < t_ms }\n",
-    );
-    assert!(f.is_empty(), "{f:?}");
-}
-
-#[test]
-fn file_level_pragma_covers_the_whole_file() {
-    let f = lint_sim(
-        "// gat-lint: allow-file(R12, \"fixture justification\")\npub fn a(t_cycles: u64, t_ms: u64) -> u64 { t_cycles + t_ms }\npub fn b(t_cycles: u64, t_ms: u64) -> bool { t_cycles < t_ms }\n",
-    );
-    assert!(f.is_empty(), "{f:?}");
-}
-
-#[test]
-fn pragma_does_not_suppress_other_rules() {
-    let f = lint_sim(
-        "// gat-lint: allow(R8, \"wrong rule\")\npub fn f(t_cycles: u64, t_ms: u64) -> bool { t_cycles < t_ms }\n",
-    );
-    // The R12 finding survives AND the pragma is reported unused
-    // (findings sort by line: the pragma sits on line 1).
-    assert_eq!(rules(&f), vec!["pragma", "R12"]);
-}
-
-#[test]
-fn unused_pragma_is_an_error() {
-    let f = lint_sim("// gat-lint: allow(R8, \"stale after refactor\")\npub fn clean() {}\n");
-    assert_eq!(rules(&f), vec!["pragma"]);
-    assert!(f[0].message.contains("unused"));
-    assert!(f[0].message.contains("stale after refactor"));
-}
-
-#[test]
-fn malformed_pragmas_are_errors_not_silence() {
-    // Missing reason, an unknown rule id, and a rule clippy now owns.
-    let f = lint_sim(
-        "// gat-lint: allow(R12)\n// gat-lint: allow(R99, \"who\")\n// gat-lint: allow(R1, \"moved to clippy\")\npub fn g() {}\n",
-    );
-    assert_eq!(rules(&f), vec!["pragma", "pragma", "pragma"]);
-}
-
-#[test]
-fn test_gated_code_is_exempt_from_r8_r12() {
-    let files = vec![SourceFile {
-        path: "crates/dram/src/channel.rs".into(),
-        text: r#"
-pub fn prod(now: u64) -> u64 { now + 1 }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn harness_scaffolding_is_fine() {
-        let mut v = vec![0.5f64, 0.25];
-        v.push(0.125);
-        let (deadline_cycles, budget_ms) = (10u64, 2u64);
-        assert!(deadline_cycles > budget_ms);
-    }
-}
-"#
-        .into(),
-    }];
-    let f = lint_sources(&files, "", "");
-    assert!(f.is_empty(), "{f:?}");
-}
-
 // --- The capstone: the real tree is clean ------------------------------
 
+/// R6 and R12's name half over the real tree: every bench flag and knob
+/// is documented, and no sim-crate identifier is in milliseconds.
 #[test]
 fn workspace_is_lint_clean() {
-    let (files, findings) = lint_workspace(root()).expect("workspace scan");
-    assert!(
-        files > 50,
-        "scan looks truncated: only {files} files — path wiring broken?"
+    let bins: Vec<String> = rs_files("crates/bench/src/bin")
+        .iter()
+        .map(|b| read(b))
+        .collect();
+    assert!(bins.len() >= 7, "bench bins not found");
+    let missing = undocumented(
+        &bins,
+        &read("crates/sim/src/knobs.rs"),
+        &read("README.md"),
+        &read("DESIGN.md"),
     );
-    let rendered: Vec<String> = findings.iter().map(Finding::render_text).collect();
     assert!(
-        findings.is_empty(),
-        "the workspace must stay lint-clean; fix or justify with a pragma:\n{}",
-        rendered.join("\n")
+        missing.is_empty(),
+        "R6: document every bench flag in README.md and every GAT_* knob in DESIGN.md:\n{}",
+        missing.join("\n")
     );
-}
 
-#[test]
-fn findings_export_valid_jsonl() {
-    let f = lint_sim("pub fn f(t_cycles: u64, t_ms: u64) -> u64 { t_cycles + t_ms }\n");
-    assert_eq!(rules(&f), vec!["R12"]);
-    gat_sim::json::validate_json_line(&f[0].to_json()).unwrap();
-    gat_sim::json::validate_json_line(&gat_lint::summary_json(1, &f)).unwrap();
+    let mut millis = Vec::new();
+    for krate in SIM_CRATES {
+        for rel in rs_files(&format!("crates/{krate}/src")) {
+            let text = read(&rel);
+            millis.extend(ms_idents(&text).into_iter().map(|w| format!("{rel}: {w}")));
+        }
+    }
+    assert!(
+        millis.is_empty(),
+        "R12: sim crates count cycles, never milliseconds:\n{}",
+        millis.join("\n")
+    );
 }

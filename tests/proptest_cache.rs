@@ -132,7 +132,8 @@ proptest! {
         let mut token = 0u64;
         for (block, complete) in ops {
             if complete {
-                let got = m.complete(block);
+                let mut got = Vec::new();
+                m.complete_into(block, &mut got);
                 let want = model.remove(&block).unwrap_or_default();
                 prop_assert_eq!(got, want);
             } else {
