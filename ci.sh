@@ -187,6 +187,25 @@ echo "== benchmark tests (10 min cap) =="
 # the production tick loop.
 timeout 600 cargo test --release -q --offline --manifest-path benchmark/Cargo.toml
 
+echo "== sleeping cores vs the every-cycle replica: trace throttle + schedulers (10 min cap each) =="
+# Production lets cores sleep behind stalled accesses; the traced
+# replica ticks every core on every cycle. Over the two saturated
+# workloads, every production run must reproduce the replica's
+# fingerprint (benchmark/README.md, DESIGN.md §8).
+for w in throttle schedulers; do
+    set +e
+    trace_out=$(timeout 600 cargo run --release -q --offline \
+        --manifest-path benchmark/Cargo.toml -- trace --workload $w)
+    trace_code=$?
+    set -e
+    if [[ $trace_code -ne 0 ]] || ! grep -qF '"correct":true' <<<"$trace_out"; then
+        echo "trace $w: exit $trace_code, result line not correct" >&2
+        grep -F '"correct":' <<<"$trace_out" >&2 || true
+        exit 1
+    fi
+done
+echo "trace: throttle and schedulers match the every-cycle replica"
+
 echo "== hotbench perf gate (10 min cap) =="
 # cycles/s of the fig1+2 driver at hotbench's compiled-in config must
 # stay within 35% of the anchor in BENCH_hotpath.json; a regression

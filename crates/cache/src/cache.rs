@@ -392,6 +392,25 @@ impl SetAssocCache {
         }
     }
 
+    /// Replay `n` missing [`Self::access`]es of `addr` by `source`
+    /// without looking it up: the miss stats they record and
+    /// [`Self::replay_miss`] for each. For callers that re-present a
+    /// lookup they know misses again (a stalled access's retries,
+    /// DESIGN.md §11).
+    pub fn replay_misses(&mut self, addr: Addr, source: Source, n: u64) {
+        self.stats.misses.add(n);
+        if source.is_gpu() {
+            self.stats.gpu_misses.add(n);
+        } else {
+            self.stats.cpu_misses.add(n);
+        }
+        if self.cfg.policy == ReplacementPolicy::Drrip {
+            for _ in 0..n {
+                self.replay_miss(addr);
+            }
+        }
+    }
+
     /// Hint the host CPU to start pulling the tag/state arrays for
     /// `addr`'s set into its cache. Purely a performance hint with no
     /// architectural effect: a large cache's metadata (megabytes for the

@@ -232,6 +232,12 @@ impl MshrFile {
         self.stalls
     }
 
+    /// Replay `n` [`Self::allocate`] calls known to return
+    /// [`MshrOutcome::Full`] without probing: they only count stalls.
+    pub fn replay_stalls(&mut self, n: u64) {
+        self.stalls += n;
+    }
+
     pub fn merge_count(&self) -> u64 {
         self.merges
     }

@@ -8,7 +8,7 @@
 //! cache misses and DRAM queueing push it down from there, which is the
 //! entire CPU-side story of the paper.
 
-use crate::hierarchy::{CpuHierarchy, LoadOutcome};
+use crate::hierarchy::{CpuHierarchy, LoadOutcome, StallCause};
 #[cfg(test)]
 use crate::stream::StreamGen;
 use crate::stream::{InstructionStream, Op};
@@ -169,12 +169,13 @@ impl Core {
     }
 
     /// Advance one CPU cycle. Returns `true` when the tick did observable
-    /// work (flushed a write-back, committed, touched the cache hierarchy,
-    /// or dispatched) — `false` means the tick was inert: only the
-    /// per-cycle counters and the dispatch-credit accrual moved, exactly
-    /// what [`Core::fast_forward`] replays. The system uses an inert tick
-    /// as the (cheap) signal to compute this core's [`Core::next_wake`]
-    /// and skip its ticks until then, instead of probing every cycle.
+    /// work (flushed a write-back, committed, made a hierarchy call other
+    /// than a memoized retry, or dispatched) — `false` means the tick was
+    /// inert: only the per-cycle counters, the dispatch-credit accrual and
+    /// a memoized stall's retry counters moved, exactly what
+    /// [`Core::fast_forward`] replays. The system uses an inert tick as
+    /// the (cheap) signal to compute this core's [`Core::next_wake`] and
+    /// skip its ticks until then, instead of probing every cycle.
     pub fn tick(&mut self, now: Cycle, port: &mut dyn MemPort) -> bool {
         self.cycles.inc();
         let flushed = self.hierarchy.writebacks_queued() > 0;
@@ -236,9 +237,10 @@ impl Core {
         }
     }
 
-    /// Returns `true` when any hierarchy call was made (even one that
-    /// stalled: `load`/`store` bump counters and train the prefetcher on
-    /// every call, so a stalled retry is still observable work).
+    /// Returns `true` when a hierarchy call other than a memoized retry
+    /// that stalled again was made: a first stall looks up L1, L2 and the
+    /// MSHRs and trains the prefetcher, while a memoized retry only bumps
+    /// counters, which [`Core::fast_forward`] replays.
     fn start_accesses(&mut self, now: Cycle, port: &mut dyn MemPort) -> bool {
         let mut ports_used = 0;
         let mut attempted = false;
@@ -248,12 +250,10 @@ impl Core {
             };
             // Pointer-chase loads serialize against the available chains:
             // at most `chase_chains` dependent walks overlap.
-            if serialized
-                && self.outstanding_chases.len() >= usize::from(self.stream.profile().chase_chains)
-            {
+            if self.chase_blocked(serialized) {
                 break;
             }
-            attempted = true;
+            let retry = self.hierarchy.stalled_on(addr).is_some();
             let outcome = if is_store {
                 self.hierarchy.store(now, addr, port)
             } else {
@@ -268,6 +268,7 @@ impl Core {
                         self.set_state(seq, EntryState::Timed(now + Cycle::from(latency)));
                     }
                     ports_used += 1;
+                    attempted = true;
                 }
                 LoadOutcome::Pending => {
                     self.access_queue.pop_front();
@@ -282,8 +283,12 @@ impl Core {
                         self.set_state(seq, EntryState::WaitingData);
                     }
                     ports_used += 1;
+                    attempted = true;
                 }
-                LoadOutcome::Stall => break,
+                LoadOutcome::Stall => {
+                    attempted |= !retry;
+                    break;
+                }
             }
         }
         attempted
@@ -344,12 +349,18 @@ impl Core {
     /// must be ticked normally; `Some(w)` means every tick in `[now, w)`
     /// is inert (only per-cycle counters advance, replayed exactly by
     /// [`Core::fast_forward`]); `Some(Cycle::MAX)` means the core is fully
-    /// blocked on an external event (a memory response).
+    /// blocked on an external event (a memory response, or for a
+    /// port-stalled front the uncore accepting again).
     ///
-    /// "Inert" is strict: any tick that would touch the cache hierarchy
-    /// (even a stalled retry — `load`/`store` bump counters and train the
-    /// prefetcher on every call), pop the ROB, or dispatch an op counts as
-    /// active.
+    /// "Inert" is strict: any tick that would look something up in the
+    /// cache hierarchy, pop the ROB, or dispatch an op counts as active.
+    /// A retry of the hierarchy's memoized stall is the one hierarchy call
+    /// that stays inert: it only bumps counters, which `fast_forward`
+    /// replays. Such a front sets no self-wake. An MSHR stall clears on
+    /// this core's own memory response, which wakes it; a port stall
+    /// holds only while the port refuses, so the system wakes a sleeping
+    /// [`Core::port_stalled`] core on the cycle after the uncore can
+    /// accept again (DESIGN.md §8).
     pub fn next_wake(&self, now: Cycle) -> Option<Cycle> {
         // Pending write-backs drain to the port every tick.
         if self.hierarchy.writebacks_queued() > 0 {
@@ -371,13 +382,12 @@ impl Core {
             }
         }
         // Access queue: an attemptable front means `start_accesses` calls
-        // into the hierarchy this cycle (side effects even on Stall). A
-        // chase-blocked front only unblocks on a memory response, which is
-        // delivered by an active uncore — no self-wake needed.
-        if let Some(&(_, _, _, serialized)) = self.access_queue.front() {
-            let chase_blocked = serialized
-                && self.outstanding_chases.len() >= usize::from(self.stream.profile().chase_chains);
-            if !chase_blocked {
+        // into the hierarchy this cycle (side effects even on Stall),
+        // unless the call is a memoized retry. A chase-blocked front only
+        // unblocks on a memory response, which is delivered by an active
+        // uncore — no self-wake needed; nor for a memoized front.
+        if let Some(&(_, addr, _, serialized)) = self.access_queue.front() {
+            if !self.chase_blocked(serialized) && self.hierarchy.stalled_on(addr).is_none() {
                 return None;
             }
         }
@@ -417,6 +427,19 @@ impl Core {
         Some(wake)
     }
 
+    /// A chase load cannot issue while every chain has one in flight.
+    fn chase_blocked(&self, serialized: bool) -> bool {
+        serialized
+            && self.outstanding_chases.len() >= usize::from(self.stream.profile().chase_chains)
+    }
+
+    /// Is this core's access front a memoized stall that the port refused?
+    /// It clears only once the port accepts again, which is no event of
+    /// this core's own, so the system wakes the core for it.
+    pub fn port_stalled(&self) -> bool {
+        self.hierarchy.stall_cause() == Some(StallCause::Port)
+    }
+
     /// Accrued dispatch credit: the one piece of non-counter state that
     /// [`Core::fast_forward`] replays.
     pub fn dispatch_credit(&self) -> f64 {
@@ -425,9 +448,9 @@ impl Core {
 
     /// Batch-advance the per-cycle state over the inert span `[from, to)`
     /// (every cycle in it was certified inert by [`Core::next_wake`]).
-    /// Counter sums and the dispatch-credit float sequence are replayed
-    /// addition-by-addition so results stay bit-identical to per-cycle
-    /// ticking.
+    /// Counter sums, a memoized stall's `to - from` retries and the
+    /// dispatch-credit float sequence are replayed so results stay
+    /// bit-identical to per-cycle ticking.
     pub fn fast_forward(&mut self, from: Cycle, to: Cycle) {
         let k = to - from;
         if k == 0 {
@@ -436,6 +459,11 @@ impl Core {
         self.cycles.add(k);
         if !self.rob.is_empty() {
             self.commit_stall_cycles.add(k);
+        }
+        if let Some(&(_, addr, is_store, serialized)) = self.access_queue.front() {
+            if !self.chase_blocked(serialized) && self.hierarchy.stalled_on(addr).is_some() {
+                self.hierarchy.replay_retries(is_store, k);
+            }
         }
         // Dispatch-credit accrues on every tick at/after the front-end
         // refill point, even when dispatch is structurally blocked. Replay

@@ -66,6 +66,16 @@ pub enum LoadOutcome {
     Stall,
 }
 
+/// Why the last stalled access could not start its miss.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StallCause {
+    /// The MSHR file had no room ([`MshrOutcome::Full`]).
+    Mshr,
+    /// The port refused the primary miss, and the MSHR entry was rolled
+    /// back.
+    Port,
+}
+
 #[derive(Debug, Default)]
 struct PendingBlock {
     /// A store is waiting: fill dirty.
@@ -103,6 +113,12 @@ pub struct CpuHierarchy {
     last_block: u64,
     /// Posted write-backs that could not enter the uncore yet (FIFO).
     writeback_buf: std::collections::VecDeque<u64>,
+    /// The block of the last access that stalled, and why. Only
+    /// `on_response`, `back_invalidate` or an access to another block can
+    /// change what a lookup of that block finds, so until one of them
+    /// drops it a retry replays the failed attempt's counters instead of
+    /// redoing the L1, L2 and MSHR lookups (DESIGN.md §11).
+    stalled: Option<(u64, StallCause)>,
     pub loads: Counter,
     pub stores: Counter,
     pub wb_sent: Counter,
@@ -144,6 +160,7 @@ impl CpuHierarchy {
             stream_stamp: 0,
             last_block: u64::MAX,
             writeback_buf: std::collections::VecDeque::new(),
+            stalled: None,
             loads: Counter::new(),
             stores: Counter::new(),
             wb_sent: Counter::new(),
@@ -164,8 +181,26 @@ impl CpuHierarchy {
         !self.mshr.is_full()
     }
 
+    /// The cause of the memoized stall, if `addr` is in its block: a
+    /// `load`/`store` of `addr` is then a retry that replays counters.
+    pub(crate) fn stalled_on(&self, addr: u64) -> Option<StallCause> {
+        match self.stalled {
+            Some((block, cause)) if block == line_of(addr) => Some(cause),
+            _ => None,
+        }
+    }
+
+    /// The cause of the memoized stall, whatever its block.
+    pub fn stall_cause(&self) -> Option<StallCause> {
+        self.stalled.map(|(_, cause)| cause)
+    }
+
     /// Present a load for ROB entry `seq`.
     pub fn load(&mut self, now: Cycle, addr: u64, seq: u64, port: &mut dyn MemPort) -> LoadOutcome {
+        if self.stalled_on(addr).is_some() {
+            return self.retry(now, seq << 1, false, port);
+        }
+        self.stalled = None;
         self.loads.inc();
         self.train_prefetcher(now, addr, port);
         let src = self.source();
@@ -189,6 +224,10 @@ impl CpuHierarchy {
     /// store could not even be accepted (MSHRs full) and dispatch must
     /// retry.
     pub fn store(&mut self, now: Cycle, addr: u64, port: &mut dyn MemPort) -> LoadOutcome {
+        if self.stalled_on(addr).is_some() {
+            return self.retry(now, STORE_WAITER, true, port);
+        }
+        self.stalled = None;
         self.stores.inc();
         self.train_prefetcher(now, addr, port);
         let src = self.source();
@@ -218,25 +257,14 @@ impl CpuHierarchy {
         let block = line_of(addr);
         match self.mshr.allocate(block, waiter) {
             MshrOutcome::Primary => {
-                if port.try_request(
-                    now,
-                    BlockReq {
-                        token: block,
-                        addr: block,
-                        write: false,
-                    },
-                ) {
-                    self.pending.insert(
-                        block,
-                        PendingBlock {
-                            any_store: is_store,
-                            demand: true,
-                        },
-                    );
+                if self.send_demand(now, block, is_store, port) {
                     LoadOutcome::Pending
                 } else {
-                    // Downstream full: roll back the MSHR.
+                    // Downstream full: roll back the MSHR. The file is
+                    // left exactly as it was (same free list, same probe
+                    // table; `peak` is idempotent).
                     self.mshr.cancel(block);
+                    self.stalled = Some((block, StallCause::Port));
                     LoadOutcome::Stall
                 }
             }
@@ -247,8 +275,106 @@ impl CpuHierarchy {
                 }
                 LoadOutcome::Pending
             }
-            MshrOutcome::Full => LoadOutcome::Stall,
+            MshrOutcome::Full => {
+                self.stalled = Some((block, StallCause::Mshr));
+                LoadOutcome::Stall
+            }
         }
+    }
+
+    /// Send the primary demand miss for `block` below and record it as
+    /// pending; `false` if the port refused it.
+    fn send_demand(
+        &mut self,
+        now: Cycle,
+        block: u64,
+        is_store: bool,
+        port: &mut dyn MemPort,
+    ) -> bool {
+        let sent = port.try_request(
+            now,
+            BlockReq {
+                token: block,
+                addr: block,
+                write: false,
+            },
+        );
+        if sent {
+            self.pending.insert(
+                block,
+                PendingBlock {
+                    any_store: is_store,
+                    demand: true,
+                },
+            );
+        }
+        sent
+    }
+
+    /// A retry of the memoized stall. It replays what the L1, L2 and MSHR
+    /// lookups did on the failed attempt; the prefetcher needs nothing,
+    /// as a same-block access does not train it. A port-refused miss
+    /// asks the port again and, if accepted, allocates its MSHR entry as
+    /// `miss` would have.
+    fn retry(
+        &mut self,
+        now: Cycle,
+        waiter: u64,
+        is_store: bool,
+        port: &mut dyn MemPort,
+    ) -> LoadOutcome {
+        self.replay_retries(is_store, 1);
+        let Some((block, StallCause::Port)) = self.stalled else {
+            return LoadOutcome::Stall;
+        };
+        if !self.send_demand(now, block, is_store, port) {
+            return LoadOutcome::Stall;
+        }
+        let outcome = self.mshr.allocate(block, waiter);
+        debug_assert_eq!(outcome, MshrOutcome::Primary);
+        self.stalled = None;
+        LoadOutcome::Pending
+    }
+
+    /// Replay the counters of `n` retries of the memoized stall that
+    /// fail again (a `load`, or a `store` if `is_store`): the access
+    /// count, one CPU miss each in L1 and L2, and for an MSHR stall the
+    /// MSHR stall count. [`crate::Core::fast_forward`] replays a sleeping
+    /// core's retries with one call; does nothing without a memo.
+    pub(crate) fn replay_retries(&mut self, is_store: bool, n: u64) {
+        let Some((block, cause)) = self.stalled else {
+            return;
+        };
+        if is_store {
+            self.stores.add(n);
+        } else {
+            self.loads.add(n);
+        }
+        let src = self.source();
+        self.l1d.replay_misses(block, src, n);
+        self.l2.replay_misses(block, src, n);
+        if cause == StallCause::Mshr {
+            self.mshr.replay_stalls(n);
+        }
+    }
+
+    /// Paranoia check of the stall memo: its block must still miss L1
+    /// and L2, and the MSHR file must still refuse it exactly when the
+    /// cause is [`StallCause::Mshr`].
+    pub fn check_stall_memo(&self) -> Result<(), String> {
+        let Some((block, cause)) = self.stalled else {
+            return Ok(());
+        };
+        let core = self.core_id;
+        if self.l1d.probe(block) || self.l2.probe(block) {
+            return Err(format!("core {core}: stall memo {block:#x} now hits L1/L2"));
+        }
+        if (cause == StallCause::Mshr) == self.mshr.can_allocate(block) {
+            return Err(format!(
+                "core {core}: stall memo {block:#x} cause {cause:?} disagrees with the MSHR file"
+            ));
+        }
+        Ok(())
     }
 
     /// Train the stream prefetcher on a demand access and run ahead of
@@ -377,6 +503,7 @@ impl CpuHierarchy {
     ) {
         let block = token;
         let start = out.len();
+        self.stalled = None;
         self.mshr.complete_into(block, out);
         let pend = self.pending.remove(&block).unwrap_or_default();
         let src = self.source();
@@ -409,6 +536,7 @@ impl CpuHierarchy {
     /// Back-invalidation from the inclusive LLC: drop our copies; dirty
     /// data is written back to memory.
     pub fn back_invalidate(&mut self, addr: u64) {
+        self.stalled = None;
         let mut dirty = false;
         if let Some(ev) = self.l1d.invalidate(addr) {
             dirty |= ev.dirty;
@@ -439,6 +567,11 @@ impl CpuHierarchy {
                 break;
             }
         }
+    }
+
+    /// Misses refused for a full MSHR file (or a full waiter list).
+    pub fn mshr_stalls(&self) -> u64 {
+        self.mshr.stall_count()
     }
 
     pub fn outstanding_misses(&self) -> usize {
@@ -552,6 +685,158 @@ mod tests {
         // After the port opens up, the retry succeeds.
         let mut open = SinkPort::default();
         assert_eq!(h.load(1, 0x100, 1, &mut open), LoadOutcome::Pending);
+    }
+
+    /// Every counter a stalled access moves.
+    fn stall_counters(h: &CpuHierarchy) -> [u64; 8] {
+        [
+            h.loads.get(),
+            h.stores.get(),
+            h.l1d.stats.misses.get(),
+            h.l1d.stats.cpu_misses.get(),
+            h.l2.stats.misses.get(),
+            h.l2.stats.cpu_misses.get(),
+            h.mshr.stall_count(),
+            h.l1d.stats.hits.get() + h.l2.stats.hits.get(),
+        ]
+    }
+
+    fn delta(before: [u64; 8], after: [u64; 8]) -> [u64; 8] {
+        std::array::from_fn(|i| after[i] - before[i])
+    }
+
+    #[test]
+    fn mshr_full_retry_replays_the_lookup_counters() {
+        let mut h = CpuHierarchy::new(
+            0,
+            HierarchyConfig {
+                mshrs: 2,
+                prefetch_degree: 0,
+                ..Default::default()
+            },
+        );
+        let mut port = SinkPort::default();
+        h.load(0, 0x0000, 1, &mut port);
+        h.load(0, 0x1000, 2, &mut port);
+        let c0 = stall_counters(&h);
+        assert_eq!(h.load(1, 0x2000, 3, &mut port), LoadOutcome::Stall);
+        let c1 = stall_counters(&h);
+        assert_eq!(h.stalled_on(0x2008), Some(StallCause::Mshr));
+        assert_eq!(h.load(2, 0x2000, 3, &mut port), LoadOutcome::Stall);
+        let c2 = stall_counters(&h);
+        assert_eq!(delta(c0, c1), [1, 0, 1, 1, 1, 1, 1, 0], "a real MSHR stall");
+        assert_eq!(delta(c1, c2), delta(c0, c1), "the retry replays it");
+        // A batch replay of 5 retries adds 5 of each.
+        h.replay_retries(false, 5);
+        assert_eq!(delta(c2, stall_counters(&h)), [5, 0, 5, 5, 5, 5, 5, 0]);
+        // Stores replay into `stores`.
+        let mut s = CpuHierarchy::new(
+            0,
+            HierarchyConfig {
+                mshrs: 1,
+                prefetch_degree: 0,
+                ..Default::default()
+            },
+        );
+        s.load(0, 0x0000, 1, &mut port);
+        s.store(1, 0x4000, &mut port);
+        let c3 = stall_counters(&s);
+        assert_eq!(s.store(2, 0x4000, &mut port), LoadOutcome::Stall);
+        assert_eq!(delta(c3, stall_counters(&s)), [0, 1, 1, 1, 1, 1, 1, 0]);
+    }
+
+    #[test]
+    fn port_refused_retry_replays_the_lookup_counters() {
+        let mut h = hier();
+        let mut closed = SinkPort {
+            reject_all: true,
+            ..Default::default()
+        };
+        let c0 = stall_counters(&h);
+        assert_eq!(h.load(0, 0x100, 1, &mut closed), LoadOutcome::Stall);
+        let c1 = stall_counters(&h);
+        assert_eq!(h.stalled_on(0x100), Some(StallCause::Port));
+        assert_eq!(h.load(1, 0x100, 1, &mut closed), LoadOutcome::Stall);
+        let c2 = stall_counters(&h);
+        assert_eq!(delta(c0, c1), [1, 0, 1, 1, 1, 1, 0, 0], "a real port stall");
+        assert_eq!(delta(c1, c2), delta(c0, c1), "the retry replays it");
+        assert_eq!(h.outstanding_misses(), 0);
+    }
+
+    #[test]
+    fn accepted_port_retry_leaves_a_first_time_miss() {
+        for store in [false, true] {
+            let access = |h: &mut CpuHierarchy, now, port: &mut SinkPort| {
+                if store {
+                    h.store(now, 0x7000, port)
+                } else {
+                    h.load(now, 0x7000, 9, port)
+                }
+            };
+            let mut retried = hier();
+            let mut closed = SinkPort {
+                reject_all: true,
+                ..Default::default()
+            };
+            assert_eq!(access(&mut retried, 0, &mut closed), LoadOutcome::Stall);
+            assert_eq!(access(&mut retried, 1, &mut closed), LoadOutcome::Stall);
+            let mut open = SinkPort::default();
+            assert_eq!(access(&mut retried, 2, &mut open), LoadOutcome::Pending);
+            assert_eq!(retried.stall_cause(), None, "acceptance drops the memo");
+
+            let mut first = hier();
+            let mut port = SinkPort::default();
+            assert_eq!(access(&mut first, 2, &mut port), LoadOutcome::Pending);
+
+            assert_eq!(open.accepted, port.accepted);
+            assert_eq!(
+                format!("{:?}", retried.mshr),
+                format!("{:?}", first.mshr),
+                "same MSHR entries, free list and probe table"
+            );
+            let pend = |h: &CpuHierarchy| {
+                let p = &h.pending[&0x7000];
+                (h.pending.len(), p.any_store, p.demand)
+            };
+            assert_eq!(pend(&retried), pend(&first));
+            assert_eq!(
+                resp(&mut retried, 50, 0x7000, &mut open),
+                resp(&mut first, 50, 0x7000, &mut port)
+            );
+        }
+    }
+
+    #[test]
+    fn response_and_back_invalidation_drop_the_memo() {
+        let mut h = CpuHierarchy::new(
+            0,
+            HierarchyConfig {
+                mshrs: 1,
+                prefetch_degree: 0,
+                ..Default::default()
+            },
+        );
+        let mut port = SinkPort::default();
+        h.load(0, 0x0000, 1, &mut port);
+        assert_eq!(h.load(1, 0x2000, 2, &mut port), LoadOutcome::Stall);
+        assert_eq!(h.stall_cause(), Some(StallCause::Mshr));
+        resp(&mut h, 5, 0x0000, &mut port);
+        assert_eq!(h.stall_cause(), None, "a response frees an MSHR");
+        assert_eq!(h.load(6, 0x2000, 2, &mut port), LoadOutcome::Pending);
+        resp(&mut h, 7, 0x2000, &mut port);
+
+        let mut closed = SinkPort {
+            reject_all: true,
+            ..Default::default()
+        };
+        assert_eq!(h.load(7, 0x3000, 3, &mut closed), LoadOutcome::Stall);
+        assert_eq!(h.stall_cause(), Some(StallCause::Port));
+        h.back_invalidate(0x9000);
+        assert_eq!(h.stall_cause(), None, "a back-invalidation drops it");
+        // An access to another block drops it too.
+        assert_eq!(h.load(8, 0x3000, 3, &mut closed), LoadOutcome::Stall);
+        h.load(9, 0x0000, 4, &mut port);
+        assert_eq!(h.stall_cause(), None);
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod stream;
 pub mod trace;
 
 pub use crate::core::{Core, CoreConfig};
-pub use hierarchy::{CpuHierarchy, HierarchyConfig, LoadOutcome};
+pub use hierarchy::{CpuHierarchy, HierarchyConfig, LoadOutcome, StallCause};
 pub use profile::SpecProfile;
 pub use stream::{InstructionStream, Op, StreamGen};
 pub use trace::{TraceParseError, TraceStream};

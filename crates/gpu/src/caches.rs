@@ -137,6 +137,11 @@ pub struct GpuCaches {
     vertex_mshr: MshrFile,
     /// Misses/evictions waiting to enter the GPU memory interface.
     pub outbound: std::collections::VecDeque<OutboundReq>,
+    /// Block of the last texture read that found the MSHR file full.
+    /// Until a fill or a read of another block, a retry of it misses
+    /// texL1 and texL2 and stalls again, so [`Self::tex_read`] replays
+    /// those counters instead of the lookups (DESIGN.md §11).
+    tex_stalled: Option<u64>,
 }
 
 impl GpuCaches {
@@ -190,12 +195,21 @@ impl GpuCaches {
             depth_mshr: MshrFile::new(cfg.depth_mshrs, 16),
             vertex_mshr: MshrFile::new(cfg.vertex_mshrs, 8),
             outbound: std::collections::VecDeque::new(),
+            tex_stalled: None,
         }
     }
 
     /// Texture read for `waiter` (a fragment-group id).
     pub fn tex_read(&mut self, addr: u64, waiter: u64) -> GpuReadOutcome {
         let src = Source::Gpu;
+        let block = line_of(addr);
+        if self.tex_stalled == Some(block) {
+            self.tex_l1.replay_misses(addr, src, 1);
+            self.tex_l2.replay_misses(addr, src, 1);
+            self.tex_mshr.replay_stalls(1);
+            return GpuReadOutcome::Stall;
+        }
+        self.tex_stalled = None;
         if self.tex_l1.access(addr, AccessKind::Read, src) {
             return GpuReadOutcome::Hit;
         }
@@ -203,18 +217,36 @@ impl GpuCaches {
             self.tex_l1.fill(addr, src, false); // texture data is read-only
             return GpuReadOutcome::Hit;
         }
-        match self.tex_mshr.allocate(line_of(addr), waiter) {
+        match self.tex_mshr.allocate(block, waiter) {
             MshrOutcome::Primary => {
                 self.outbound.push_back(OutboundReq {
                     unit: GpuUnit::Texture,
-                    addr: line_of(addr),
+                    addr: block,
                     write: false,
                 });
                 GpuReadOutcome::Pending
             }
             MshrOutcome::Merged => GpuReadOutcome::Pending,
-            MshrOutcome::Full => GpuReadOutcome::Stall,
+            MshrOutcome::Full => {
+                self.tex_stalled = Some(block);
+                GpuReadOutcome::Stall
+            }
         }
+    }
+
+    /// Paranoia check of the texture stall memo: its block must still
+    /// miss texL1 and texL2 and still find no room in the MSHR file.
+    pub(crate) fn check_tex_memo(&self) -> Result<(), String> {
+        let Some(block) = self.tex_stalled else {
+            return Ok(());
+        };
+        if self.tex_l1.probe(block) || self.tex_l2.probe(block) {
+            return Err(format!("tex stall memo {block:#x} now hits texL1/texL2"));
+        }
+        if self.tex_mshr.can_allocate(block) {
+            return Err(format!("tex stall memo {block:#x} but the MSHR has room"));
+        }
+        Ok(())
     }
 
     /// Depth-test read (the block is also dirtied by the depth write).
@@ -316,6 +348,7 @@ impl GpuCaches {
     /// waiter storage is recycled, the caller reuses its scratch vector).
     pub fn on_fill(&mut self, unit: GpuUnit, block: u64, out: &mut Vec<u64>) {
         let src = Source::Gpu;
+        self.tex_stalled = None;
         match unit {
             GpuUnit::Texture => {
                 self.tex_mshr.complete_into(block, out);
@@ -504,6 +537,45 @@ mod tests {
         assert_eq!(c.tex_read(0x1000, 2), GpuReadOutcome::Pending);
         assert_eq!(c.tex_read(0x2000, 3), GpuReadOutcome::Stall);
         assert_eq!(c.outstanding(), 2);
+    }
+
+    #[test]
+    fn stalled_tex_retry_replays_until_a_fill() {
+        let cfg = GpuCachesConfig {
+            tex_mshrs: 2,
+            ..Default::default()
+        };
+        let mut c = GpuCaches::new(&cfg);
+        let counters = |c: &GpuCaches| {
+            let (l1, l2) = (&c.tex_l1.stats, &c.tex_l2.stats);
+            [
+                l1.misses.get(),
+                l1.gpu_misses.get(),
+                l1.hits.get(),
+                l2.misses.get(),
+                l2.gpu_misses.get(),
+                l2.hits.get(),
+                c.tex_mshr.stall_count(),
+            ]
+        };
+        c.tex_read(0x0000, 1);
+        c.tex_read(0x1000, 2);
+        let c0 = counters(&c);
+        assert_eq!(c.tex_read(0x2000, 3), GpuReadOutcome::Stall);
+        let c1 = counters(&c);
+        assert_eq!(c.tex_read(0x2010, 3), GpuReadOutcome::Stall, "memoized");
+        let c2 = counters(&c);
+        let d = |a: [u64; 7], b: [u64; 7]| -> [u64; 7] { std::array::from_fn(|i| b[i] - a[i]) };
+        assert_eq!(d(c0, c1), [1, 1, 0, 1, 1, 0, 1]);
+        assert_eq!(d(c1, c2), d(c0, c1), "the retry replays the real stall");
+        assert!(c.check_tex_memo().is_ok());
+        assert_eq!(fill(&mut c, GpuUnit::Texture, 0x0000), vec![1]);
+        assert_eq!(
+            c.tex_read(0x2000, 3),
+            GpuReadOutcome::Pending,
+            "the fill freed a slot"
+        );
+        assert_eq!(c.outbound.back().map(|r| r.addr), Some(0x2000));
     }
 
     #[test]

@@ -310,10 +310,11 @@ impl GpuPipeline {
         self.iface.len()
     }
 
-    /// Paranoia-mode invariant check: fragment-group slot conservation
-    /// and interface-queue bounds. A violation means groups leaked (the
-    /// pipeline would eventually wedge) or the request buffer overran its
-    /// modeled capacity.
+    /// Paranoia-mode invariant check: fragment-group slot conservation,
+    /// interface-queue bounds and the texture stall memo. A violation
+    /// means groups leaked (the pipeline would eventually wedge), the
+    /// request buffer overran its modeled capacity, or a memoized texture
+    /// stall would no longer stall.
     pub fn check_invariants(&self) -> Result<(), String> {
         let live = self
             .groups
@@ -343,7 +344,7 @@ impl GpuPipeline {
                 self.iface.len()
             ));
         }
-        Ok(())
+        self.caches.check_tex_memo()
     }
 
     /// Per-unit internal-cache statistics: (texL1 h/m, texL2 h/m,
@@ -375,8 +376,10 @@ impl GpuPipeline {
     }
 
     fn begin_frame(&mut self, now: Cycle) {
-        self.frame_plans = self.workload.next_frame();
-        self.rtp_tracks = vec![RtpTrack::default(); self.frame_plans.len()];
+        self.workload.next_frame_into(&mut self.frame_plans);
+        self.rtp_tracks.clear();
+        self.rtp_tracks
+            .resize(self.frame_plans.len(), RtpTrack::default());
         self.cur_rtp = 0;
         self.next_report_rtp = 0;
         self.tile_cursor = 0;

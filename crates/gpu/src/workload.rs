@@ -160,6 +160,14 @@ impl WorkloadGen {
     /// that force the paper's frame-rate estimator back into its learning
     /// phase.
     pub fn next_frame(&mut self) -> Vec<RtpPlan> {
+        let mut plans = Vec::new();
+        self.next_frame_into(&mut plans);
+        plans
+    }
+
+    /// [`Self::next_frame`] into `plans`, replacing its contents; reusing
+    /// one buffer keeps a frame boundary allocation-free.
+    pub fn next_frame_into(&mut self, plans: &mut Vec<RtpPlan>) {
         let p = &self.profile;
         // Scene cut: re-level drift to a fresh value in [0.6, 1.6).
         if p.scene_cut_period > 0
@@ -175,17 +183,15 @@ impl WorkloadGen {
         let drift = self.drift;
         let jitter_sd = p.rtp_jitter;
         let base = p.frags_per_tile;
-        let plans: Vec<RtpPlan> = (0..p.rtps_per_frame)
-            .map(|_| {
-                let jitter = self.rng.jitter(jitter_sd, 0.2);
-                let f = (base * drift * jitter).clamp(4.0, max_frags);
-                RtpPlan {
-                    frags_per_tile: f as u32,
-                }
-            })
-            .collect();
+        plans.clear();
+        for _ in 0..p.rtps_per_frame {
+            let jitter = self.rng.jitter(jitter_sd, 0.2);
+            let f = (base * drift * jitter).clamp(4.0, max_frags);
+            plans.push(RtpPlan {
+                frags_per_tile: f as u32,
+            });
+        }
         self.frame_index += 1;
-        plans
     }
 }
 

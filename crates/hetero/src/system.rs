@@ -71,8 +71,9 @@ pub struct HeteroSystem {
     last_sched_boost: bool,
     /// Per-core inert-tick skipping (DESIGN.md §8): each core's next
     /// cycle of possible work. A core whose wake lies in the future skips
-    /// its tick; an inert tick re-arms it from `Core::next_wake`, and a
-    /// completion or back-invalidation resets it to 0.
+    /// its tick; an inert tick re-arms it from `Core::next_wake`, a
+    /// completion or back-invalidation resets it to 0, and a port-stalled
+    /// core is woken for the cycle after the uncore can accept again.
     core_wake: Vec<Cycle>,
     /// Next cycle each core must actually execute. `Core::fast_forward`
     /// replays the skipped gap before the core's next delivery, tick or
@@ -560,6 +561,17 @@ impl HeteroSystem {
             });
         }
         self.uncore.tick(now, ctx);
+        // A port-stalled core sleeps until the uncore can take its retry.
+        // Only the uncore tick frees ingress slots, so if it cannot accept
+        // now, every try before the next uncore tick fails too; if it can,
+        // the cores retry next cycle, in core order as always.
+        if self.uncore.accepting() {
+            for (i, core) in self.cores.iter().enumerate() {
+                if self.core_wake[i] > now + 1 && core.port_stalled() {
+                    self.core_wake[i] = now + 1;
+                }
+            }
+        }
 
         // 6. Epoch sampler.
         if let Some(interval) = self.epoch_interval {
@@ -702,8 +714,9 @@ impl HeteroSystem {
     }
 
     /// Paranoia-mode invariant sweep (`GAT_PARANOIA=1`): structural
-    /// checks across the QoS hardware, GPU pipeline, uncore and the
-    /// epoch sampler, run after every tick of [`Self::step`].
+    /// checks across the QoS hardware, GPU pipeline, uncore, the CPU
+    /// stall memos and port-stall wakes, and the epoch sampler, run after
+    /// every tick of [`Self::step`].
     fn check_invariants(&self) -> Result<(), SimError> {
         let err = |component: &'static str, detail: String| SimError::Invariant {
             cycle: self.now,
@@ -719,6 +732,20 @@ impl HeteroSystem {
         self.uncore
             .check_invariants()
             .map_err(|d| err("uncore", d))?;
+        for (i, core) in self.cores.iter().enumerate() {
+            core.hierarchy
+                .check_stall_memo()
+                .map_err(|d| err("cpu", d))?;
+            if self.core_wake[i] > self.now && core.port_stalled() && self.uncore.accepting() {
+                return Err(err(
+                    "cpu",
+                    format!(
+                        "core {i} sleeps on a port stall until {} while the uncore accepts",
+                        self.core_wake[i]
+                    ),
+                ));
+            }
+        }
         if let Some(i) = self.epoch_interval {
             // Epoch monotonicity: the next sample is never scheduled more
             // than one interval out.

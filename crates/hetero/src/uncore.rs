@@ -21,7 +21,8 @@
 
 use crate::config::{FillPolicyKind, MachineConfig};
 use gat_cache::{
-    AccessKind, BlockReq, CacheConfig, MemPort, MshrFile, MshrOutcome, SetAssocCache, Source,
+    AccessKind, BlockReq, CacheConfig, MemPort, MshrFile, MshrOutcome, ReplacementPolicy,
+    SetAssocCache, Source,
 };
 use gat_dram::{Completion, DramChannel, DramRequest, SchedCtx};
 use gat_policies::Helm;
@@ -293,11 +294,18 @@ impl Uncore {
         }
     }
 
+    /// Would [`Self::try_request`] accept a request now? Slots free only
+    /// inside [`Self::tick`], so between two uncore ticks this can only go
+    /// from `true` to `false`.
+    pub fn accepting(&self) -> bool {
+        self.to_llc_count < self.cfg.llc_queue
+    }
+
     /// Present a request from `source`. Returns `false` (back-pressure)
     /// when the LLC input queue is saturated.
     pub fn try_request(&mut self, now: Cycle, source: Source, req: BlockReq) -> bool {
         // Bound transactions between acceptance and their LLC lookup.
-        if self.to_llc_count >= self.cfg.llc_queue {
+        if !self.accepting() {
             return false;
         }
         self.to_llc_count += 1;
@@ -455,12 +463,15 @@ impl Uncore {
     /// up. Each slot would re-fail the next parked entry in order and put
     /// it at the back, leaving the stats, the MSHR file and `to_llc_count`
     /// as they were. The only lasting effect is DRRIP's set-dueling update
-    /// on each miss, which is replayed.
+    /// on each miss, which is replayed; under LRU and SRRIP a miss has
+    /// none, so the entries are not walked at all.
     fn refail_parked(&mut self, rest: u32) {
         let rest = rest as usize;
-        for &id in self.llc_retry.iter().cycle().take(rest) {
-            if let Some(t) = self.txns.get(id) {
-                self.llc.replay_miss(t.addr);
+        if self.llc.config().policy == ReplacementPolicy::Drrip {
+            for &id in self.llc_retry.iter().cycle().take(rest) {
+                if let Some(t) = self.txns.get(id) {
+                    self.llc.replay_miss(t.addr);
+                }
             }
         }
         let len = self.llc_retry.len();

@@ -8,8 +8,9 @@
 //! The bound is small, not zero. What survives in the counted window is
 //! `Vec`s growing to their high-water marks: the DRAM bank queues that
 //! `Uncore::send_to_dram` pushes into, and the completion and event
-//! buffers. Add about two per GPU frame (`next_frame` and `rtp_tracks`).
-//! A fresh allocation on any per-cycle path costs thousands per window.
+//! buffers. A GPU frame boundary refills its RTP plans and tracks in
+//! place, so it adds none. A fresh allocation on any per-cycle path costs
+//! thousands per window.
 //!
 //! `unsafe impl GlobalAlloc` makes this file the workspace's one
 //! `unsafe_code` exception (see `[workspace.lints.rust]` in Cargo.toml).
