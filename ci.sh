@@ -110,8 +110,8 @@ diff <(grep -v '"type":"job_outcome"\|"type":"batch_summary"' \
      /tmp/gat_serve_ci/healthy_runsim.jsonl
 echo "one config path: runsim and gat-serve wrote identical result lines"
 
-echo "== CLI smoke: timeline, calibrate, ablate (10 min cap each) =="
-# The other single-run CLIs resolve through JobSpec like runsim, and
+echo "== CLI smoke: timeline, calibrate, ablate, figures (10-15 min cap each) =="
+# The other simulation CLIs resolve through JobSpec like runsim, and
 # timeline advances through the same checked step as try_run (DESIGN.md
 # §9, §12). Each must run end to end and write every row it owes.
 timeout 600 cargo run --release -q -p gat-bench --bin timeline -- \
@@ -137,7 +137,31 @@ if [[ $ab_rows -ne 11 ]]; then
     echo "CLI smoke: ablate wrote $ab_rows/11 ablation_variant lines" >&2
     exit 1
 fi
-echo "CLI smoke: timeline 3 frames, calibrate 14 games, ablate 11 variants"
+# figures folds its tables from one gat-serve batch: one figure is one
+# table line, and a job that wedges makes the whole run exit 3. The
+# batch cannot stop early, so every wedged job first runs out its
+# watchdog (two 50M-cycle windows): the second run takes minutes.
+timeout 600 cargo run --release -q -p gat-bench --bin figures -- \
+    fig3 --scale 1024 --instr 20000 --frames 1 --warmup 10000 \
+    --json /tmp/gat_ci_fig3.jsonl >/dev/null
+fig_tables=$(grep -c '^{"type":"table"' /tmp/gat_ci_fig3.jsonl || true)
+if [[ $fig_tables -ne 1 ]]; then
+    echo "CLI smoke: figures fig3 wrote $fig_tables/1 table lines" >&2
+    exit 1
+fi
+set +e
+fig_out=$(timeout 900 cargo run --release -q -p gat-bench --bin figures -- \
+    fig3 --scale 1024 --instr 20000 --frames 1 --warmup 10000 \
+    --json /tmp/gat_ci_fig3_wedge.jsonl --faults wedge=20000 2>&1)
+fig_code=$?
+set -e
+if [[ $fig_code -ne 3 ]]; then
+    echo "CLI smoke: figures with a wedged GPU exited $fig_code, not 3" >&2
+    echo "$fig_out" | tail -3 >&2
+    exit 1
+fi
+echo "CLI smoke: timeline 3 frames, calibrate 14 games, ablate 11 variants," \
+    "figures 1 table and exit 3 on a wedge"
 
 echo "== paranoia invariant sweep (10 min cap) =="
 # Run the golden snapshot under GAT_PARANOIA=1: every tick re-checks the

@@ -6,25 +6,27 @@
 //!         [--json PATH] [--faults SPEC]
 //! ```
 //!
-//! `all` shares runs between figures that use the same experiments
-//! (Fig. 1+2, Fig. 9+10+11, Fig. 13+14), which roughly halves the wall
-//! time of a full regeneration. `--json PATH` additionally writes every
-//! table as one JSONL `{"type":"table",...}` object per line, from the
-//! same simulation runs as the text output. `--faults SPEC` (or
-//! `GAT_FAULTS`) injects deterministic faults into every run.
+//! The flags but `--threads` and `--json` set the spec keys of the same
+//! name on the figures' base job spec (`gat_bench::drivers`). The
+//! distinct jobs of every requested figure run as one gat-serve batch on
+//! `--threads` workers (default: the host's core count), and each figure
+//! is folded from the results. A job shared by several figures runs once:
+//! `all` runs 159 simulations for the 223 its figures use. `--json PATH`
+//! additionally writes every table as one JSONL `{"type":"table",...}`
+//! object per line, from the same runs as the text output. `--faults
+//! SPEC` (or `GAT_FAULTS`) injects deterministic faults into every run.
 //!
-//! Exit codes: 0 success, 1 I/O failure, 2 bad usage or configuration.
+//! Exit codes: 0 success, 1 I/O failure, 2 bad usage or configuration,
+//! 3 a job ended wedged, over its cycle cap, on a paranoia invariant or
+//! in a panic (the message names the job and its outcome).
 
 #![warn(clippy::disallowed_methods)]
 
 use std::io::Write;
 
-use gat_bench::{
-    fail, fault_spec, figure_tables, is_known_figure, render_tables, tables_jsonl, Args, CliError,
-    FIGURES,
-};
-use gat_hetero::experiments::ExpConfig;
-use gat_sim::faults::FaultPlan;
+use gat_bench::drivers::{figure, figures_base, run_distinct, ALL_FIGURES, FIGURES};
+use gat_bench::{fail, render_tables, spec_from_flags, tables_jsonl, Args, CliError};
+use gat_serve::JobSpec;
 
 const USAGE: &str = "figures <figN|all> [--scale N] [--frames N] [--instr N] [--warmup N] \
      [--seed N] [--threads N] [--json PATH] [--faults SPEC]";
@@ -35,6 +37,14 @@ fn main() {
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "R2: the worker count tunes wall time only; tests/determinism.rs pins the tables at 1 and 8 shards"
+)]
+fn default_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 fn real_main() -> Result<(), CliError> {
     let args = Args::from_env(
         "--scale --frames --instr --seed --warmup --threads --json --faults",
@@ -43,22 +53,22 @@ fn real_main() -> Result<(), CliError> {
     let [which] = args.positional() else {
         return Err(CliError::Usage(USAGE.into()));
     };
-    if which != "all" && !is_known_figure(which) {
+    let base = spec_from_flags(figures_base(), &args, &["--threads", "--json"])?;
+    let ids = if which == "all" {
+        ALL_FIGURES.to_vec()
+    } else {
+        vec![which.as_str()]
+    };
+    let Some(drivers) = ids.iter().map(|id| figure(id)).collect::<Option<Vec<_>>>() else {
         return Err(CliError::Usage(format!(
             "unknown figure id {which:?}; known: {FIGURES:?} (or 'all')"
         )));
+    };
+    base.resolve()?;
+    let threads = args.num("--threads", default_threads())?;
+    if threads == 0 {
+        return Err(CliError::Config("--threads must be nonzero".into()));
     }
-    let mut cfg = ExpConfig::default();
-    cfg.scale = args.num("--scale", cfg.scale)?;
-    cfg.limits.gpu_frames = args.num("--frames", cfg.limits.gpu_frames)?;
-    cfg.limits.cpu_instructions = args.num("--instr", cfg.limits.cpu_instructions)?;
-    cfg.seed = args.num("--seed", cfg.seed)?;
-    cfg.limits.warmup_cycles = args.num("--warmup", cfg.limits.warmup_cycles)?;
-    cfg.threads = args.num("--threads", cfg.threads)?;
-    cfg.faults = FaultPlan::parse(&fault_spec(&args))
-        .map_err(|e| CliError::Config(format!("faults: {e}")))?;
-    cfg.validate()
-        .map_err(|e| CliError::Config(e.to_string()))?;
     let json_path = args.get("--json");
     let mut json = match json_path {
         Some(p) => Some(std::io::BufWriter::new(
@@ -67,28 +77,25 @@ fn real_main() -> Result<(), CliError> {
         None => None,
     };
     eprintln!(
-        "# scale={} frames={} instr={} seed={} threads={}",
-        cfg.scale, cfg.limits.gpu_frames, cfg.limits.cpu_instructions, cfg.seed, cfg.threads
+        "# scale={} frames={} instr={} seed={} threads={threads}",
+        base.scale, base.frames, base.instr, base.seed
     );
     let start = std::time::Instant::now();
-    let mut emit = |id: &str| -> Result<(), CliError> {
-        let tables = figure_tables(id, &cfg);
+    let jobs: Vec<JobSpec> = drivers.iter().flat_map(|(jobs, _)| jobs(&base)).collect();
+    let used = jobs.len();
+    let runs = run_distinct(jobs, threads)?;
+    eprintln!(
+        "# ran {} distinct jobs for {used} uses in {:.1}s",
+        runs.len(),
+        start.elapsed().as_secs_f64()
+    );
+    for (_, fold) in drivers {
+        let tables = fold(&runs);
         println!("{}", render_tables(&tables));
         if let Some(f) = json.as_mut() {
             write!(f, "{}", tables_jsonl(&tables))
                 .map_err(|e| CliError::Io(format!("--json: {e}")))?;
         }
-        Ok(())
-    };
-    match which.as_str() {
-        "all" => {
-            for id in ["fig1+2", "fig3", "fig8", "fig9+10+11", "fig12", "fig13+14"] {
-                let t = std::time::Instant::now();
-                emit(id)?;
-                eprintln!("# {id} took {:.1}s", t.elapsed().as_secs_f64());
-            }
-        }
-        id => emit(id)?,
     }
     if let Some(mut f) = json {
         f.flush()

@@ -5,12 +5,12 @@
 //! hotbench
 //! ```
 //!
-//! It takes no flags. It runs the fig1+2 driver at scale 256 with 60k
-//! CPU instructions, 2 GPU frames, 30k warm-up cycles, seed 538379561,
-//! on one worker thread so cycles/s measures the simulator loop, not
-//! thread scheduling. It prints one JSONL point to stdout: wall-clock
-//! seconds, CPU cycles simulated (warm-up included) and cycles per
-//! second.
+//! It takes no flags. It runs the 42 jobs of the fig1+2 driver, repeats
+//! included, as one gat-serve batch at scale 256 with 60k CPU
+//! instructions, 2 GPU frames, 30k warm-up cycles, seed 538379561, on
+//! one shard so cycles/s measures the simulator loop, not thread
+//! scheduling. It prints one JSONL point to stdout: wall-clock seconds,
+//! CPU cycles simulated (warm-up included) and cycles per second.
 //!
 //! The anchor is `BENCH_hotpath.json` in the working directory: the
 //! `bench_meta` line of this config, then one point. The gate fails when
@@ -27,8 +27,9 @@
 
 use std::time::Instant;
 
+use gat_bench::drivers::{figures_base, motivation_jobs, run_jobs};
 use gat_bench::{fail, Args, CliError};
-use gat_hetero::experiments::{self, ExpConfig};
+use gat_serve::JobSpec;
 use gat_sim::json::{parse_json_object, JsonValue, Obj};
 
 const ANCHOR_PATH: &str = "BENCH_hotpath.json";
@@ -36,31 +37,32 @@ const ANCHOR_PATH: &str = "BENCH_hotpath.json";
 /// Largest tolerated relative drop in cycles/s below the anchor.
 const BAND: f64 = 0.35;
 
-/// The measured config.
-fn config() -> ExpConfig {
-    let mut cfg = ExpConfig {
+/// Worker shards of the measured batch.
+const SHARDS: usize = 1;
+
+/// The measured config: the fig1+2 jobs are built on this base.
+fn config() -> JobSpec {
+    JobSpec {
         scale: 256,
         seed: 538_379_561,
-        threads: 1,
-        ..ExpConfig::default()
-    };
-    cfg.limits.cpu_instructions = 60_000;
-    cfg.limits.gpu_frames = 2;
-    cfg.limits.warmup_cycles = 30_000;
-    cfg
+        instr: 60_000,
+        frames: 2,
+        warmup: 30_000,
+        ..figures_base()
+    }
 }
 
-/// The anchor file's first line for `cfg`. It keeps `"quick":true` so
+/// The anchor file's first line for `base`. It keeps `"quick":true` so
 /// that the tracked anchor's meta line matches it byte for byte.
-fn meta_line(cfg: &ExpConfig) -> String {
+fn meta_line(base: &JobSpec) -> String {
     Obj::new()
         .str("type", "bench_meta")
         .str("bench", "hotbench")
-        .u64("scale", u64::from(cfg.scale))
-        .u64("frames", u64::from(cfg.limits.gpu_frames))
-        .u64("instr", cfg.limits.cpu_instructions)
-        .u64("seed", cfg.seed)
-        .u64("threads", cfg.threads as u64)
+        .u64("scale", u64::from(base.scale))
+        .u64("frames", u64::from(base.frames))
+        .u64("instr", base.instr)
+        .u64("seed", base.seed)
+        .u64("threads", SHARDS as u64)
         .bool("quick", true)
         .finish()
 }
@@ -90,13 +92,14 @@ fn main() {
 
 fn real_main() -> Result<(), CliError> {
     Args::from_env("", "")?.reject_positional()?;
-    let cfg = config();
+    let base = config();
     let text = std::fs::read_to_string(ANCHOR_PATH)
         .map_err(|e| CliError::Io(format!("{ANCHOR_PATH}: {e}")))?;
-    let anchor = anchor_cycles_per_s(&text, &meta_line(&cfg))?;
+    let anchor = anchor_cycles_per_s(&text, &meta_line(&base))?;
 
     let start = Instant::now();
-    let cycles = experiments::motivation(&cfg).sim_cycles;
+    let runs = run_jobs(&motivation_jobs(&base), SHARDS)?;
+    let cycles: u64 = runs.iter().map(|r| base.warmup + r.count("cycles")).sum();
     let wall_s = start.elapsed().as_secs_f64();
     let cps = cycles as f64 / wall_s;
     println!(

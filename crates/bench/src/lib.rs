@@ -1,8 +1,10 @@
 //! `gat-bench` — figure regeneration and the command-line binaries.
 //!
-//! [`figure_tables`] drives the experiment harness in `gat-hetero` to
-//! regenerate each paper figure as structured tables; the `figures`
-//! binary wraps it in a CLI:
+//! [`drivers`] holds one driver per paper figure: the gat-serve job specs
+//! the figure needs and a pure fold from their results to its tables.
+//! [`drivers::figure`] dispatches on figure ids, and the `figures` binary
+//! wraps it in a CLI that runs the distinct jobs of every requested
+//! figure as one batch:
 //!
 //! ```text
 //! cargo run --release -p gat-bench --bin figures -- all
@@ -11,35 +13,20 @@
 //!
 //! The other binaries (`runsim`, `timeline`, `calibrate`, `ablate`,
 //! `gat-serve` and the `hotbench` CI perf gate) share [`Args`] and
-//! [`CliError`]. `runsim`, `timeline`, `ablate` and `calibrate` are
-//! front ends for `gat_serve::JobSpec`: each builds its machines through
-//! `JobSpec::resolve`, and [`fault_spec`], [`mix_arg`] and [`with_mix`]
-//! fill the spec from their shared flags. `figures` and `hotbench` run
-//! many machines per invocation and stay on `ExpConfig`. Performance is
-//! measured by the repository benchmark (`benchmark/README.md`), not
-//! here.
+//! [`CliError`]. Every simulation CLI is a front end for
+//! `gat_serve::JobSpec`: [`spec_from_flags`], [`fault_spec`],
+//! [`mix_arg`] and [`with_mix`] fill the spec from their shared flags,
+//! and each run goes through `JobSpec::resolve`. Performance is measured
+//! by the repository benchmark (`benchmark/README.md`), not here.
 
-use gat_hetero::experiments::{self, ExpConfig};
+pub mod drivers;
+
 use gat_hetero::report::Table;
 use gat_hetero::SimError;
 use gat_serve::spec::{apply_field, SpecError};
 use gat_serve::JobSpec;
 use gat_sim::json::JsonValue;
 use gat_workloads::{mix_m, Mix};
-
-/// All known figure ids, in paper order.
-pub const FIGURES: [&str; 10] = [
-    "fig1", "fig2", "fig3", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
-];
-
-/// Combined ids accepted by [`figure_tables`] that share runs between
-/// figures built from the same experiment.
-pub const FIGURE_COMBOS: [&str; 5] = ["fig1+2", "motivation", "fig9+10+11", "throttle", "fig13+14"];
-
-/// Is `id` something [`figure_tables`] accepts?
-pub fn is_known_figure(id: &str) -> bool {
-    FIGURES.contains(&id) || FIGURE_COMBOS.contains(&id)
-}
 
 /// Typed failure for the CLI binaries. Every user-reachable error path
 /// maps to a stable nonzero exit code (see [`CliError::exit_code`])
@@ -52,9 +39,10 @@ pub enum CliError {
     Config(String),
     /// An output artifact could not be written: exit 1.
     Io(String),
-    /// The simulation itself aborted (liveness watchdog, paranoia
-    /// invariant check, cycle-limit overrun): exit 3.
-    Sim(SimError),
+    /// A simulation aborted (liveness watchdog, paranoia invariant
+    /// check, cycle-limit overrun), or a batch job ended in an outcome
+    /// other than `ok`/`degraded`: exit 3.
+    Sim(String),
     /// The performance gate tripped (`hotbench`: cycles/s below the
     /// recorded anchor beyond the band): exit 3.
     Gate(String),
@@ -87,7 +75,7 @@ impl std::error::Error for CliError {}
 
 impl From<SimError> for CliError {
     fn from(e: SimError) -> Self {
-        CliError::Sim(e)
+        CliError::Sim(e.to_string())
     }
 }
 
@@ -218,14 +206,18 @@ pub fn with_mix(spec: JobSpec, mix: &Mix) -> JobSpec {
     }
 }
 
-/// `runsim`'s command line as a job spec. Starting from
-/// [`JobSpec::base`], every flag but `--json` sets the spec key of the
-/// same name (`--gpu-ways N` is `"gpu_ways": N`, a switch is `true`),
-/// and the faults come from [`fault_spec`]. A positional word is a
-/// usage error; names are checked when the spec is resolved.
+/// `runsim`'s command line as a job spec: [`spec_from_flags`] over
+/// [`JobSpec::base`]. A positional word is a usage error.
 pub fn runsim_spec(args: &Args) -> Result<JobSpec, CliError> {
     args.reject_positional()?;
-    let mut spec = JobSpec::base("runsim");
+    spec_from_flags(JobSpec::base("runsim"), args, &["--json"])
+}
+
+/// `spec` with the command line applied: every valued flag but the
+/// binary's `own` ones sets the spec key of the same name (`--gpu-ways N`
+/// is `"gpu_ways": N`), a switch sets its key to `true`, and the faults
+/// come from [`fault_spec`]. Names are checked when the spec is resolved.
+pub fn spec_from_flags(mut spec: JobSpec, args: &Args, own: &[&str]) -> Result<JobSpec, CliError> {
     spec.faults = fault_spec(args);
     let mut set = |flag: &str, value: JsonValue| {
         let key = flag.trim_start_matches("--").replace('-', "_");
@@ -234,7 +226,8 @@ pub fn runsim_spec(args: &Args) -> Result<JobSpec, CliError> {
     // Reversed so that, as with `Args::get`, a repeated flag's first value wins.
     for (flag, v) in args.values.iter().rev() {
         match flag.as_str() {
-            "--json" | "--faults" => {}
+            "--faults" => {}
+            f if own.contains(&f) => {}
             "--game" | "--cpus" | "--sched" | "--qos" | "--fill" => {
                 set(flag, JsonValue::Str(v.clone()))?;
             }
@@ -250,53 +243,6 @@ pub fn runsim_spec(args: &Args) -> Result<JobSpec, CliError> {
 impl From<SpecError> for CliError {
     fn from(e: SpecError) -> Self {
         CliError::Config(e.detail)
-    }
-}
-
-/// Regenerate one figure as structured [`Table`]s. Both the text and the
-/// JSONL output of the `figures` binary derive from this single run.
-///
-/// # Panics
-/// Panics on an unknown figure id.
-pub fn figure_tables(id: &str, cfg: &ExpConfig) -> Vec<Table> {
-    match id {
-        "fig1" => vec![experiments::motivation(cfg).fig1_table()],
-        "fig2" => vec![experiments::motivation(cfg).fig2_table()],
-        "fig1+2" | "motivation" => {
-            let m = experiments::motivation(cfg);
-            vec![m.fig1_table(), m.fig2_table()]
-        }
-        "fig3" => vec![experiments::fig3(cfg).table()],
-        "fig8" => vec![experiments::fig8(cfg).table()],
-        "fig9" => {
-            let e = experiments::throttle_eval(cfg);
-            vec![e.fig9_fps_table(), e.fig9_ws_table()]
-        }
-        "fig9+10+11" | "throttle" => {
-            let e = experiments::throttle_eval(cfg);
-            vec![
-                e.fig9_fps_table(),
-                e.fig9_ws_table(),
-                e.fig10_table(),
-                e.fig11_table(),
-            ]
-        }
-        "fig10" => vec![experiments::throttle_eval(cfg).fig10_table()],
-        "fig11" => vec![experiments::throttle_eval(cfg).fig11_table()],
-        "fig12" => {
-            let c = experiments::comparison(cfg, true);
-            vec![c.fps_table(), c.ws_table()]
-        }
-        "fig13" => {
-            let c = experiments::comparison(cfg, false);
-            vec![c.fps_table(), c.ws_table()]
-        }
-        "fig13+14" => {
-            let c = experiments::comparison(cfg, false);
-            vec![c.fps_table(), c.ws_table(), c.fig14_table()]
-        }
-        "fig14" => vec![experiments::comparison(cfg, false).fig14_table()],
-        other => panic!("unknown figure id {other:?}; known: {FIGURES:?}"),
     }
 }
 
@@ -324,20 +270,6 @@ pub fn tables_jsonl(tables: &[Table]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    #[should_panic(expected = "unknown figure id")]
-    fn unknown_figure_panics() {
-        let _ = figure_tables("fig99", &ExpConfig::smoke());
-    }
-
-    #[test]
-    fn figure_list_is_complete() {
-        assert_eq!(FIGURES.len(), 10);
-        assert!(FIGURES.contains(&"fig14"));
-        assert!(is_known_figure("fig9+10+11"));
-        assert!(!is_known_figure("fig99"));
-    }
 
     #[test]
     fn cli_errors_map_to_stable_exit_codes() {

@@ -85,7 +85,8 @@ impl RunLimits {
 /// Full machine + policy configuration.
 #[derive(Debug, Clone)]
 pub struct MachineConfig {
-    /// CPU cores (4 for the main evaluation, 1 for the §II motivation).
+    /// CPU core slots: the most CPU apps a machine may run (Table I: 4).
+    /// The §II one-CPU machine is this machine running one app.
     pub num_cpus: u8,
     /// GPU work scale (see DESIGN.md §4); also used by the QoS target.
     pub scale: u32,
@@ -165,14 +166,6 @@ impl MachineConfig {
             partition_channels: false,
             target_fps: 40.0,
             faults: FaultPlan::none(),
-        }
-    }
-
-    /// The §II motivation machine: one CPU core + GPU.
-    pub fn motivation(scale: u32, seed: u64) -> Self {
-        Self {
-            num_cpus: 1,
-            ..Self::table_one(scale, seed)
         }
     }
 
@@ -335,11 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn motivation_machine_has_one_core() {
-        assert_eq!(MachineConfig::motivation(16, 2).num_cpus, 1);
-    }
-
-    #[test]
     fn mem_estimate_is_monotone_in_the_big_knobs() {
         let base = MachineConfig::table_one(64, 1).estimated_mem_bytes();
         assert!(base > 16 << 20, "estimate below the fixed floor: {base}");
@@ -358,7 +346,6 @@ mod tests {
     #[test]
     fn default_configs_validate() {
         MachineConfig::table_one(256, 9).validate().unwrap();
-        MachineConfig::motivation(64, 1).validate().unwrap();
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! `gat-hetero` — the assembled heterogeneous chip-multiprocessor and the
-//! experiment harness that regenerates every figure of the paper.
+//! `gat-hetero` — the assembled heterogeneous chip-multiprocessor. The
+//! figure drivers that run it live in `gat-bench`.
 //!
 //! * [`config`] — Table I machine configuration plus run parameters,
 //! * [`uncore`] — the shared memory system: bidirectional ring, 16 MB
@@ -8,7 +8,6 @@
 //! * [`system`] — the cycle-driven top level tying CPU cores, the GPU
 //!   pipeline, the QoS controller and the uncore together,
 //! * [`metrics`] — per-run results (IPC, FPS, LLC misses, DRAM bandwidth),
-//! * [`experiments`] — one driver per paper figure (Fig. 1–3, 8–14),
 //! * [`report`] — plain-text table rendering for the `figures` binary.
 
 #![warn(clippy::disallowed_types, clippy::disallowed_methods)]
@@ -19,7 +18,6 @@
 pub mod config;
 pub mod error;
 pub mod events;
-pub mod experiments;
 pub mod metrics;
 pub mod report;
 pub mod system;

@@ -116,16 +116,6 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// Sum of per-core IPCs (used with per-app standalone IPCs to compute
-    /// weighted speedup).
-    pub fn ipc_of(&self, core: u8) -> f64 {
-        self.cores
-            .iter()
-            .find(|c| c.core == core)
-            .map(|c| c.ipc)
-            .unwrap_or(0.0)
-    }
-
     /// Weighted speedup against per-application standalone IPCs:
     /// `Σᵢ IPCᵢ(shared) / IPCᵢ(alone)`.
     pub fn weighted_speedup(&self, alone_ipc: &[f64]) -> f64 {
@@ -422,12 +412,5 @@ mod tests {
         // CPU-only runs export "gpu":null.
         let cpu_only = run_with_ipcs(&[1.0]);
         assert!(cpu_only.to_json().contains("\"gpu\":null"));
-    }
-
-    #[test]
-    fn ipc_lookup() {
-        let r = run_with_ipcs(&[1.5, 0.5]);
-        assert_eq!(r.ipc_of(1), 0.5);
-        assert_eq!(r.ipc_of(9), 0.0);
     }
 }

@@ -7,9 +7,11 @@
 //! The batch summary reports per-sink losses so silence is never
 //! mistaken for success.
 
+use std::cell::RefCell;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
+use std::rc::Rc;
 
 /// Where job blocks go. Implementations must tolerate arbitrary bytes
 /// and must not reorder or merge blocks.
@@ -116,11 +118,19 @@ impl Sink for StdoutSink {
     }
 }
 
-/// Collects blocks in memory — the test sink, and the building block for
-/// byte-identity assertions.
-#[derive(Default)]
+/// Collects blocks in memory. Clones share one buffer, so a caller keeps
+/// a clone, boxes another into a [`SinkSlot`], and reads the blocks back
+/// with [`VecSink::take`] once the batch has run.
+#[derive(Default, Clone)]
 pub struct VecSink {
-    pub blocks: Vec<String>,
+    blocks: Rc<RefCell<Vec<String>>>,
+}
+
+impl VecSink {
+    /// The blocks delivered so far, in delivery order; empties the buffer.
+    pub fn take(&self) -> Vec<String> {
+        self.blocks.take()
+    }
 }
 
 impl Sink for VecSink {
@@ -129,7 +139,7 @@ impl Sink for VecSink {
     }
 
     fn emit(&mut self, block: &str) -> bool {
-        self.blocks.push(block.to_string());
+        self.blocks.borrow_mut().push(block.to_string());
         true
     }
 
@@ -155,6 +165,18 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text, "{\"a\":1}\n{\"b\":2}\n");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn vec_sink_hands_its_blocks_back_through_a_clone() {
+        let sink = VecSink::default();
+        let mut slot = SinkSlot::new(Box::new(sink.clone()));
+        slot.deliver("a\n");
+        slot.deliver("b\n");
+        slot.finish();
+        assert_eq!(slot.emitted, 2);
+        assert_eq!(sink.take(), ["a\n", "b\n"]);
+        assert!(sink.take().is_empty(), "take empties the buffer");
     }
 
     #[test]

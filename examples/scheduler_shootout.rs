@@ -6,8 +6,9 @@
 //! cargo run --release --example scheduler_shootout [mix-number 1..14]
 //! ```
 
-use gat::hetero::experiments::Proposal;
 use gat::prelude::*;
+use gat_bench::{drivers::PROPOSALS, with_mix};
+use gat_serve::JobSpec;
 
 fn main() {
     let k: usize = std::env::args()
@@ -26,26 +27,29 @@ fn main() {
         "proposal", "GPU FPS", "ΣIPC", "vs baseline"
     );
 
-    let limits = RunLimits {
-        cpu_instructions: 300_000,
-        gpu_frames: 4,
-        warmup_cycles: 150_000,
-        ..Default::default()
+    let base = JobSpec {
+        scale: 128,
+        seed: 99,
+        instr: 300_000,
+        frames: 4,
+        warmup: 150_000,
+        ..with_mix(JobSpec::base("shootout"), &mix)
     };
 
     let mut base_sum_ipc = 0.0;
-    for prop in Proposal::ALL {
-        let mut cfg = MachineConfig::table_one(128, 99);
-        cfg.limits = limits;
-        prop.apply(&mut cfg);
-        let r = HeteroSystem::new(cfg, &mix.cpu, Some(mix.game.clone())).run();
+    for (i, prop) in PROPOSALS.iter().enumerate() {
+        let job = prop
+            .spec(base.clone())
+            .resolve()
+            .expect("a valid proposal spec");
+        let r = HeteroSystem::new(job.cfg, &job.apps, job.game).run();
         let sum_ipc: f64 = r.cores.iter().map(|c| c.ipc).sum();
-        if prop == Proposal::Baseline {
+        if i == 0 {
             base_sum_ipc = sum_ipc;
         }
         println!(
             "{:<14} {:>8.1} {:>10.3} {:>11.1}%",
-            prop.label(),
+            prop.label,
             r.gpu.as_ref().unwrap().fps,
             sum_ipc,
             100.0 * (sum_ipc / base_sum_ipc - 1.0)

@@ -42,7 +42,7 @@
 //! | [`qos`] | **the contribution**: FRPU, ATU, QoS controller |
 //! | [`policies`] | LLC fill policies: baseline, bypass-all, HeLM |
 //! | [`workloads`] | Table II games, SPEC profiles, Table III mixes |
-//! | [`hetero`] | the assembled machine and per-figure experiments |
+//! | [`hetero`] | the assembled machine, its metrics and report tables |
 
 pub use gat_cache as cache;
 pub use gat_core as qos;
@@ -61,7 +61,6 @@ pub mod prelude {
         AccessThrottler, FrameRateEstimator, FrpuConfig, QosController, QosControllerConfig,
     };
     pub use gat_dram::SchedulerKind;
-    pub use gat_hetero::experiments::{self, ExpConfig};
     pub use gat_hetero::{
         ConfigError, FillPolicyKind, HeteroSystem, MachineConfig, QosMode, RunEvent, RunLimits,
         RunResult, SimError,

@@ -1,31 +1,26 @@
-//! Determinism guards: results must not depend on the experiment
-//! harness's worker-pool fan-out (`experiments::par_run`) or on re-running
-//! the same seeded configuration.
+//! Determinism guards: results must not depend on the figure batch's
+//! shard count or on re-running the same seeded configuration.
 //!
 //! The paper's tables are regenerated on developer machines with whatever
 //! core count is available; if a simulation result ever depended on the
 //! thread count, every figure would silently stop being reproducible.
 //! These tests pin that down at the byte level: rendered text tables and
-//! JSONL exports from `threads = 1` and `threads = 8` runs of the Fig. 1/2
+//! JSONL exports from 1-shard and 8-shard batches of the Fig. 1/2
 //! motivation driver must be identical.
 
-use gat::hetero::experiments::{self, ExpConfig};
 use gat::prelude::*;
 use gat::sim::json::validate_json_line;
+use gat_bench::drivers::{self, run_distinct, smoke_base, Motivation};
 
-fn tiny(threads: usize) -> ExpConfig {
-    let mut cfg = ExpConfig::smoke();
-    cfg.limits.cpu_instructions = 60_000;
-    cfg.limits.gpu_frames = 2;
-    cfg.limits.warmup_cycles = 30_000;
-    cfg.threads = threads;
-    cfg
+fn tiny(shards: usize) -> Motivation {
+    let jobs = drivers::motivation_jobs(&smoke_base());
+    drivers::motivation(&run_distinct(jobs, shards).unwrap())
 }
 
 #[test]
 fn fig1_2_exports_are_byte_identical_across_thread_counts() {
-    let m1 = experiments::motivation(&tiny(1));
-    let m8 = experiments::motivation(&tiny(8));
+    let m1 = tiny(1);
+    let m8 = tiny(8);
     for (a, b) in [
         (m1.fig1_table(), m8.fig1_table()),
         (m1.fig2_table(), m8.fig2_table()),

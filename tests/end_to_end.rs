@@ -4,11 +4,7 @@
 use gat::prelude::*;
 
 fn smoke(num_cpus: u8, seed: u64) -> MachineConfig {
-    let mut cfg = if num_cpus == 1 {
-        MachineConfig::motivation(256, seed)
-    } else {
-        MachineConfig::table_one(256, seed)
-    };
+    let mut cfg = MachineConfig::table_one(256, seed);
     cfg.num_cpus = num_cpus;
     cfg.limits = RunLimits::smoke();
     cfg
@@ -159,20 +155,29 @@ fn bypass_all_delivers_data_without_caching() {
 
 #[test]
 fn all_comparison_schedulers_complete_and_render() {
-    use gat::hetero::experiments::Proposal;
-    let mix = mix_m(7);
-    for prop in Proposal::ALL {
-        let mut cfg = smoke(4, 14);
-        prop.apply(&mut cfg);
-        let r = HeteroSystem::new(cfg, &mix.cpu, Some(mix.game.clone())).run();
+    use gat_bench::{drivers::PROPOSALS, with_mix};
+    use gat_serve::JobSpec;
+    let limits = RunLimits::smoke();
+    let base = JobSpec {
+        scale: 256,
+        seed: 14,
+        instr: limits.cpu_instructions,
+        frames: limits.gpu_frames,
+        warmup: limits.warmup_cycles,
+        max_cycles: Some(limits.max_cycles),
+        ..with_mix(JobSpec::base("m7"), &mix_m(7))
+    };
+    for prop in PROPOSALS {
+        let job = prop.spec(base.clone()).resolve().unwrap();
+        let r = HeteroSystem::new(job.cfg, &job.apps, job.game).run();
         let g = r.gpu.as_ref().unwrap();
-        assert!(g.frames >= 3, "{}: no GPU progress", prop.label());
-        assert!(g.fps > 1.0, "{}: implausible FPS {}", prop.label(), g.fps);
+        assert!(g.frames >= 3, "{}: no GPU progress", prop.label);
+        assert!(g.fps > 1.0, "{}: implausible FPS {}", prop.label, g.fps);
         for c in &r.cores {
             assert!(
                 c.retired >= RunLimits::smoke().cpu_instructions,
                 "{}: core {} under budget",
-                prop.label(),
+                prop.label,
                 c.core
             );
         }

@@ -1,23 +1,66 @@
 //! Smoke tests of the figure-regeneration drivers: each driver must run
-//! end-to-end at tiny scale and produce structurally correct tables.
+//! end-to-end at tiny scale and produce structurally correct tables, and
+//! `figures all` must share its runs between figures.
 //!
 //! The heavyweight multi-configuration drivers (Fig. 9–14) are `#[ignore]`
 //! by default — `cargo test -- --ignored` runs them (minutes); the full
 //! regeneration lives in `cargo run -p gat-bench --bin figures`.
 
-use gat::hetero::experiments::{self, ExpConfig};
+use std::collections::BTreeSet;
 
-fn tiny() -> ExpConfig {
-    let mut cfg = ExpConfig::smoke();
-    cfg.limits.cpu_instructions = 60_000;
-    cfg.limits.gpu_frames = 2;
-    cfg.limits.warmup_cycles = 30_000;
-    cfg
+use gat_bench::drivers::smoke_base as tiny;
+use gat_bench::drivers::{self, figure, figures_base, run_distinct, run_jobs, Runs, ALL_FIGURES};
+use gat_serve::JobSpec;
+
+/// Run `jobs` (each distinct id once) on every host core.
+fn run(jobs: Vec<JobSpec>) -> Runs {
+    let shards = std::thread::available_parallelism().map_or(1, |n| n.get());
+    run_distinct(jobs, shards).unwrap()
+}
+
+#[test]
+fn all_runs_each_distinct_config_once() {
+    let all = ALL_FIGURES
+        .iter()
+        .map(|id| figure(id).unwrap().0(&figures_base()));
+    let jobs: Vec<JobSpec> = all.flatten().collect();
+    assert_eq!(jobs.len(), 223, "simulations the figures use");
+    // Identical configurations, and only they, share an id: the specs,
+    // the ids, and the specs stripped of their ids all count 159.
+    let count = |key: fn(&JobSpec) -> String| jobs.iter().map(key).collect::<BTreeSet<_>>().len();
+    let unnamed = |j: &JobSpec| {
+        JobSpec {
+            id: String::new(),
+            ..j.clone()
+        }
+        .canonical()
+    };
+    let counts = [
+        count(JobSpec::canonical),
+        count(|j| j.id.clone()),
+        count(unnamed),
+    ];
+    assert_eq!(
+        counts, [159; 3],
+        "distinct canonical specs, ids, id-free specs"
+    );
+}
+
+#[test]
+fn a_failed_job_is_exit_code_3_naming_it() {
+    let mut base = tiny();
+    base.faults = "wedge=20000".into();
+    base.watchdog = Some(50_000);
+    let jobs = drivers::fig3_jobs(&base);
+    let err = run_jobs(&jobs[..1], 1).err().expect("a wedged job fails");
+    assert_eq!(err.exit_code(), 3, "{err}");
+    let msg = err.to_string();
+    assert!(msg.contains("W1-both") && msg.contains("wedged"), "{msg}");
 }
 
 #[test]
 fn motivation_driver_covers_w1_to_w14() {
-    let m = experiments::motivation(&tiny());
+    let m = drivers::motivation(&run(drivers::motivation_jobs(&tiny())));
     assert_eq!(m.rows.len(), 14);
     for r in &m.rows {
         assert!(r.fps_alone > 0.0, "{}: no standalone FPS", r.workload);
@@ -44,7 +87,7 @@ fn motivation_driver_covers_w1_to_w14() {
 
 #[test]
 fn fig3_driver_produces_speedups() {
-    let f = experiments::fig3(&tiny());
+    let f = drivers::fig3(&run(drivers::fig3_jobs(&tiny())));
     assert_eq!(f.rows.len(), 14);
     for r in &f.rows {
         assert!(
@@ -59,9 +102,9 @@ fn fig3_driver_produces_speedups() {
 
 #[test]
 fn fig8_driver_reports_errors_for_all_games() {
-    let mut cfg = tiny();
-    cfg.limits.gpu_frames = 4; // the estimator needs frames to predict
-    let f = experiments::fig8(&cfg);
+    let mut base = tiny();
+    base.frames = 4; // the estimator needs frames to predict
+    let f = drivers::fig8(&run(drivers::fig8_jobs(&base)));
     assert_eq!(f.rows.len(), 14);
     for r in &f.rows {
         assert!(
@@ -82,9 +125,9 @@ fn fig8_driver_reports_errors_for_all_games() {
 #[test]
 #[ignore = "runs 18 smoke simulations plus standalone calibration"]
 fn fig9_10_11_driver_full_shape() {
-    let mut cfg = tiny();
-    cfg.limits.gpu_frames = 3;
-    let e = experiments::throttle_eval(&cfg);
+    let mut base = tiny();
+    base.frames = 3;
+    let e = drivers::throttle_eval(&run(drivers::throttle_jobs(&base)));
     assert_eq!(e.rows.len(), 6, "six amenable mixes");
     for r in &e.rows {
         assert!(r.fps[0] > 0.0);
@@ -107,9 +150,9 @@ fn fig9_10_11_driver_full_shape() {
 #[test]
 #[ignore = "runs 36 smoke simulations plus standalone calibration"]
 fn fig12_comparison_driver() {
-    let mut cfg = tiny();
-    cfg.limits.gpu_frames = 3;
-    let c = experiments::comparison(&cfg, true);
+    let mut base = tiny();
+    base.frames = 3;
+    let c = drivers::comparison(&run(drivers::comparison_jobs(&base, true)), true);
     assert_eq!(c.rows.len(), 6);
     for r in &c.rows {
         for f in r.fps {
@@ -126,9 +169,8 @@ fn fig12_comparison_driver() {
 #[test]
 #[ignore = "runs 48 smoke simulations plus standalone calibration"]
 fn fig13_14_non_amenable_driver() {
-    let mut cfg = tiny();
-    cfg.limits.gpu_frames = 2;
-    let c = experiments::comparison(&cfg, false);
+    let base = tiny();
+    let c = drivers::comparison(&run(drivers::comparison_jobs(&base, false)), false);
     assert_eq!(c.rows.len(), 8, "M1-M6, M9, M14");
     let t = c.fig14_table().render();
     assert!(t.contains("GMEAN"));
