@@ -139,8 +139,7 @@ if [[ $ab_rows -ne 11 ]]; then
 fi
 # figures folds its tables from one gat-serve batch: one figure is one
 # table line, and a job that wedges makes the whole run exit 3. The
-# batch cannot stop early, so every wedged job first runs out its
-# watchdog (two 50M-cycle windows): the second run takes minutes.
+# batch runs every job, so the wedged run gets a short watchdog window.
 timeout 600 cargo run --release -q -p gat-bench --bin figures -- \
     fig3 --scale 1024 --instr 20000 --frames 1 --warmup 10000 \
     --json /tmp/gat_ci_fig3.jsonl >/dev/null
@@ -152,7 +151,7 @@ fi
 set +e
 fig_out=$(timeout 900 cargo run --release -q -p gat-bench --bin figures -- \
     fig3 --scale 1024 --instr 20000 --frames 1 --warmup 10000 \
-    --json /tmp/gat_ci_fig3_wedge.jsonl --faults wedge=20000 2>&1)
+    --json /tmp/gat_ci_fig3_wedge.jsonl --faults wedge=20000 --watchdog 50000 2>&1)
 fig_code=$?
 set -e
 if [[ $fig_code -ne 3 ]]; then
@@ -168,20 +167,24 @@ echo "== paranoia invariant sweep (10 min cap) =="
 # MSHR/ATU/queue/epoch invariants and the bytes must not change.
 timeout 600 env GAT_PARANOIA=1 cargo test -q --release --test golden_snapshot
 
-echo "== SMS paranoia sweep: SMS-0.9 and SMS-0 bytes unchanged (10 min cap each) =="
-# No golden runs SMS, so its kept stage-1 batches are checked here: under
-# GAT_PARANOIA=1 every tick re-forms them and asserts they match the
-# cache, and the result lines must equal an unchecked run's.
-for sched in sms09 sms0; do
+echo "== scheduler paranoia sweep: SMS, static and DynPrio bytes unchanged (10 min cap each) =="
+# Under GAT_PARANOIA=1 every tick re-checks the DRAM queues (and re-forms
+# SMS's kept stage-1 batches against the cache), and the result lines
+# must equal an unchecked run's. No golden runs SMS; the static and
+# DynPrio runs cover the class-keyed DRAM pick under another mix.
+for sched in sms09 sms0 static "dynprio --qos observe"; do
+    name=${sched%% *}
     for paranoia in 0 1; do
+        # $sched is split on purpose: dynprio carries its --qos flag.
+        # shellcheck disable=SC2086
         timeout 600 env GAT_PARANOIA=$paranoia cargo run --release -q -p gat-bench --bin runsim -- \
             --game 3DMark06HDR2 --cpus 401,462,470,471 --sched $sched --scale 1024 \
             --instr 10000 --frames 1 --warmup 100000 \
-            --json /tmp/gat_ci_${sched}_paranoia$paranoia.jsonl >/dev/null 2>&1
+            --json /tmp/gat_ci_${name}_paranoia$paranoia.jsonl >/dev/null 2>&1
     done
-    cmp /tmp/gat_ci_${sched}_paranoia0.jsonl /tmp/gat_ci_${sched}_paranoia1.jsonl
+    cmp /tmp/gat_ci_${name}_paranoia0.jsonl /tmp/gat_ci_${name}_paranoia1.jsonl
 done
-echo "SMS paranoia sweep: sms09 and sms0 identical with and without GAT_PARANOIA"
+echo "scheduler paranoia sweep: sms09, sms0, static and dynprio identical with and without GAT_PARANOIA"
 
 echo "== benchmark byte identity (10 min cap) =="
 # One short pass of the repository benchmark at its default seed. Each

@@ -3,7 +3,7 @@
 //! ```text
 //! figures <fig1|fig2|fig3|fig8|fig9|fig10|fig11|fig12|fig13|fig14|all>
 //!         [--scale N] [--frames N] [--instr N] [--warmup N] [--seed N] [--threads N]
-//!         [--json PATH] [--faults SPEC]
+//!         [--json PATH] [--faults SPEC] [--watchdog N]
 //! ```
 //!
 //! The flags but `--threads` and `--json` set the spec keys of the same
@@ -14,7 +14,10 @@
 //! `all` runs 159 simulations for the 223 its figures use. `--json PATH`
 //! additionally writes every table as one JSONL `{"type":"table",...}`
 //! object per line, from the same runs as the text output. `--faults
-//! SPEC` (or `GAT_FAULTS`) injects deterministic faults into every run.
+//! SPEC` (or `GAT_FAULTS`) injects deterministic faults into every run,
+//! and `--watchdog N` sets every run's liveness watchdog window in CPU
+//! cycles (default 50M, 0 disables it). The batch runs every job before
+//! it exits, so a short window makes a wedged run fail fast.
 //!
 //! Exit codes: 0 success, 1 I/O failure, 2 bad usage or configuration,
 //! 3 a job ended wedged, over its cycle cap, on a paranoia invariant or
@@ -29,7 +32,7 @@ use gat_bench::{fail, render_tables, spec_from_flags, tables_jsonl, Args, CliErr
 use gat_serve::JobSpec;
 
 const USAGE: &str = "figures <figN|all> [--scale N] [--frames N] [--instr N] [--warmup N] \
-     [--seed N] [--threads N] [--json PATH] [--faults SPEC]";
+     [--seed N] [--threads N] [--json PATH] [--faults SPEC] [--watchdog N]";
 
 fn main() {
     if let Err(e) = real_main() {
@@ -47,7 +50,7 @@ fn default_threads() -> usize {
 
 fn real_main() -> Result<(), CliError> {
     let args = Args::from_env(
-        "--scale --frames --instr --seed --warmup --threads --json --faults",
+        "--scale --frames --instr --seed --warmup --threads --json --faults --watchdog",
         "",
     )?;
     let [which] = args.positional() else {

@@ -168,14 +168,15 @@ impl Core {
         }
     }
 
-    /// Advance one CPU cycle. Returns `true` when the tick did observable
-    /// work (flushed a write-back, committed, made a hierarchy call other
-    /// than a memoized retry, or dispatched) — `false` means the tick was
-    /// inert: only the per-cycle counters, the dispatch-credit accrual and
-    /// a memoized stall's retry counters moved, exactly what
-    /// [`Core::fast_forward`] replays. The system uses an inert tick as
-    /// the (cheap) signal to compute this core's [`Core::next_wake`] and
-    /// skip its ticks until then, instead of probing every cycle.
+    /// Advance one CPU cycle. Returns `true` when the core must tick
+    /// again next cycle: it flushed a write-back, committed, started an
+    /// access (a hit or a miss sent below) or dispatched. `false` leaves
+    /// that to [`Core::next_wake`]`(now + 1)`: the tick was inert, or its
+    /// only hierarchy call stalled. A first stall is work (it looks up
+    /// L1, L2 and the MSHRs), but it leaves the memo that makes the next
+    /// retry inert, so the core may sleep from the next cycle on. The
+    /// system uses a `false` as the (cheap) signal to compute this core's
+    /// wake and skip its ticks until then, instead of probing every cycle.
     pub fn tick(&mut self, now: Cycle, port: &mut dyn MemPort) -> bool {
         self.cycles.inc();
         let flushed = self.hierarchy.writebacks_queued() > 0;
@@ -183,9 +184,9 @@ impl Core {
             self.hierarchy.flush_writebacks(now, port);
         }
         let committed = self.commit(now);
-        let touched = self.start_accesses(now, port);
+        let started = self.start_accesses(now, port);
         let dispatched = self.dispatch(now, port);
-        flushed || committed || touched || dispatched
+        flushed || committed || started || dispatched
     }
 
     fn commit(&mut self, now: Cycle) -> bool {
@@ -237,13 +238,12 @@ impl Core {
         }
     }
 
-    /// Returns `true` when a hierarchy call other than a memoized retry
-    /// that stalled again was made: a first stall looks up L1, L2 and the
-    /// MSHRs and trains the prefetcher, while a memoized retry only bumps
-    /// counters, which [`Core::fast_forward`] replays.
+    /// Returns `true` when an access started (hit, or miss sent below).
+    /// A stall, first or memoized, returns `false`: the first one leaves
+    /// the memo, so from the next cycle on the retry only bumps counters,
+    /// which [`Core::fast_forward`] replays.
     fn start_accesses(&mut self, now: Cycle, port: &mut dyn MemPort) -> bool {
         let mut ports_used = 0;
-        let mut attempted = false;
         while ports_used < self.cfg.l1_ports {
             let Some(&(seq, addr, is_store, serialized)) = self.access_queue.front() else {
                 break;
@@ -253,7 +253,6 @@ impl Core {
             if self.chase_blocked(serialized) {
                 break;
             }
-            let retry = self.hierarchy.stalled_on(addr).is_some();
             let outcome = if is_store {
                 self.hierarchy.store(now, addr, port)
             } else {
@@ -268,7 +267,6 @@ impl Core {
                         self.set_state(seq, EntryState::Timed(now + Cycle::from(latency)));
                     }
                     ports_used += 1;
-                    attempted = true;
                 }
                 LoadOutcome::Pending => {
                     self.access_queue.pop_front();
@@ -283,15 +281,11 @@ impl Core {
                         self.set_state(seq, EntryState::WaitingData);
                     }
                     ports_used += 1;
-                    attempted = true;
                 }
-                LoadOutcome::Stall => {
-                    attempted |= !retry;
-                    break;
-                }
+                LoadOutcome::Stall => break,
             }
         }
-        attempted
+        ports_used > 0
     }
 
     fn dispatch(&mut self, now: Cycle, _port: &mut dyn MemPort) -> bool {

@@ -10,22 +10,20 @@
 //! enforced through ready-time bookkeeping.
 //!
 //! Queue organization (DESIGN.md §11): each bank keeps its pending
-//! requests in a plain `Vec`, in insertion order. FR-FCFS-equivalent
-//! policies (the common case — every figure driver's baseline) are served
-//! by a per-bank fast path that skips whole banks whose earliest command
-//! time has not arrived and scans only the issuable banks, instead of
-//! materializing a [`ReqInfo`] for every queued request every cycle.
-//! SMS keeps its stage-1 batches across cycles, re-forming them from the
-//! queues only when the queue, bank timing or write eligibility changes,
-//! and runs stage 2 off those batches on every cycle. The priority
-//! policies still get the full [`ReqInfo`] view, built from the same
-//! queues. Note that insertion order is *not* arrival-stamp order at the
+//! requests in a plain `Vec`, in insertion order. Every policy but SMS
+//! is served by one walk over those queues (`pick_walk`) that skips whole
+//! banks whose earliest command time has not arrived, scans only the
+//! issuable banks, and keeps the request with the smallest key under the
+//! policy's `PickOrder`. SMS keeps its stage-1 batches across cycles,
+//! re-forming them from the queues only when the queue, bank timing or
+//! write eligibility changes, and runs stage 2 off those batches on every
+//! cycle. Note that insertion order is *not* arrival-stamp order at the
 //! rare points where the stamp's 12-bit per-cycle sequence wraps, so pick
 //! logic always compares stamps rather than trusting queue position.
 
 use crate::energy::{DramEnergy, DramEnergyModel};
 use crate::mapping::DramCoord;
-use crate::sched::{ReqInfo, SchedCtx, SchedulerImpl, Slot, SmsBatch, SmsPick, SmsReq};
+use crate::sched::{PickOrder, SchedCtx, SchedulerImpl, Slot, SmsBatch, SmsPick, SmsReq};
 use crate::timing::DramTiming;
 use gat_cache::Source;
 use gat_sim::faults::DelayInjector;
@@ -166,12 +164,6 @@ pub struct DramChannel {
     /// Exact earliest `done_at` over `completions` (`u64::MAX` when
     /// empty) — O(1) drain early-out.
     done_min: u64,
-    /// Scratch for the generic-policy scheduler view (kept empty between
-    /// ticks; unused on the FR-FCFS fast path).
-    info_buf: Vec<ReqInfo>,
-    /// Queue positions parallel to `info_buf` (maps a `select` index back
-    /// to the picked entry).
-    handle_buf: Vec<Slot>,
     /// SMS stage-1 batches, kept across ticks (unused by other policies).
     sms_batches: Vec<SmsBatch>,
     /// [`Self::eligible_ready`] when `sms_batches` were formed.
@@ -230,8 +222,6 @@ impl DramChannel {
             scheduler,
             completions: Vec::new(),
             done_min: u64::MAX,
-            info_buf: Vec::new(),
-            handle_buf: Vec::new(),
             sms_batches: Vec::new(),
             sms_eligible_ready: u64::MAX,
             sms_formed: None,
@@ -282,10 +272,6 @@ impl DramChannel {
         self.len > 0 || !self.completions.is_empty()
     }
 
-    pub fn scheduler_name(&self) -> &'static str {
-        self.scheduler.name()
-    }
-
     /// Accept a request (caller must have checked [`Self::can_accept`]).
     ///
     /// # Panics
@@ -324,48 +310,24 @@ impl DramChannel {
         p
     }
 
-    /// Build the generic scheduler's view of the queue into
-    /// `info_buf`/`handle_buf` (bank-major, arrival order within a bank).
-    /// Returns the earliest `issuable_at` over *eligible* requests
-    /// (`u64::MAX` if none is eligible) — the first cycle the starved
-    /// verdict can flip without a queue or bank-state change.
-    fn build_req_infos(&mut self, now: u64, writes_eligible: bool) -> u64 {
-        let mut eligible_ready = u64::MAX;
-        for (bi, q) in self.bank_q.iter().enumerate() {
-            let bank = &self.banks[bi];
-            for (i, p) in q.iter().enumerate() {
-                let at = issuable_at(bank, self.act_any_ready, p);
-                let eligible = !p.req.write || writes_eligible;
-                if eligible {
-                    eligible_ready = eligible_ready.min(at);
-                }
-                self.info_buf.push(ReqInfo {
-                    is_gpu: p.req.source.is_gpu(),
-                    is_write: p.req.write,
-                    arrival: p.arrival,
-                    row_hit: bank.open_row == Some(p.coord.row),
-                    issuable: at <= now,
-                    eligible,
-                });
-                self.handle_buf.push((bi, i));
+    /// Every non-SMS policy's pick, straight off the per-bank queues: the
+    /// issuable, eligible request with the smallest `(class, arrival)`
+    /// under `order`. Banks where no command class can start this cycle
+    /// are skipped in O(1) (`cmd_ready` gates every class); issuable
+    /// banks are walked in full, comparing keys directly. The walk must
+    /// NOT stop at the first candidate: the per-cycle sequence bits of
+    /// the arrival stamp wrap every 4096 arrivals, so a bank queue is
+    /// insertion-ordered but not strictly stamp-ordered across a wrap,
+    /// and the pick contract is "smallest key", not "first queued".
+    fn pick_walk(&self, now: u64, writes_eligible: bool, order: PickOrder) -> Option<Slot> {
+        let mut best: Option<((u8, u64), Slot)> = None;
+        let mut offer = |p: &Pending, row_miss: bool, slot: Slot| {
+            let class = order.class(p.req.source.is_gpu(), row_miss, p.arrival, now);
+            let key = (class, p.arrival);
+            if best.is_none_or(|(k, _)| key < k) {
+                best = Some((key, slot));
             }
-        }
-        eligible_ready
-    }
-
-    /// FR-FCFS pick straight off the per-bank queues: the oldest issuable
-    /// eligible request, row hits first — exactly `fr_fcfs_pick` over the
-    /// full [`ReqInfo`] view, without building it. Banks where no command
-    /// class can start this cycle are skipped in O(1) (`cmd_ready` gates
-    /// every class); issuable banks are walked in full, comparing arrival
-    /// stamps directly. The walk must NOT stop at the first candidate:
-    /// the per-cycle sequence bits of the arrival stamp wrap every 4096
-    /// arrivals, so a bank queue is insertion-ordered but not strictly
-    /// stamp-ordered across a wrap, and the pick contract is "smallest
-    /// stamp", not "first queued".
-    fn frfcfs_fast_pick(&self, now: u64, writes_eligible: bool) -> Option<Slot> {
-        let mut best_hit: Option<(u64, Slot)> = None; // (arrival, position)
-        let mut best_miss: Option<(u64, Slot)> = None;
+        };
         for (bi, q) in self.bank_q.iter().enumerate() {
             if q.is_empty() {
                 continue;
@@ -382,10 +344,8 @@ impl DramChannel {
                         continue;
                     }
                     for (i, p) in q.iter().enumerate() {
-                        if (!p.req.write || writes_eligible)
-                            && best_miss.is_none_or(|(arr, _)| p.arrival < arr)
-                        {
-                            best_miss = Some((p.arrival, (bi, i)));
+                        if !p.req.write || writes_eligible {
+                            offer(p, true, (bi, i));
                         }
                     }
                 }
@@ -403,23 +363,18 @@ impl DramChannel {
                     for (i, p) in q.iter().enumerate() {
                         if !p.req.write || writes_eligible {
                             if p.coord.row == open {
-                                if (p.req.write || hit_read_ok)
-                                    && best_hit.is_none_or(|(arr, _)| p.arrival < arr)
-                                {
-                                    best_hit = Some((p.arrival, (bi, i)));
+                                if p.req.write || hit_read_ok {
+                                    offer(p, false, (bi, i));
                                 }
-                            } else if conflict_ok
-                                && best_miss.is_none_or(|(arr, _)| p.arrival < arr)
-                            {
-                                best_miss = Some((p.arrival, (bi, i)));
+                            } else if conflict_ok {
+                                offer(p, true, (bi, i));
                             }
                         }
                     }
                 }
             }
         }
-        // Row hits beat non-hits globally; within a class, oldest first.
-        best_hit.or(best_miss).map(|(_, slot)| slot)
+        best.map(|(_, slot)| slot)
     }
 
     /// Earliest `issuable_at` over eligible queued requests (`u64::MAX`
@@ -487,7 +442,7 @@ impl DramChannel {
             .pick(&self.sms_batches, now, self.len)
         {
             SmsPick::Head(slot) => Some(slot),
-            SmsPick::FrFcfs => self.frfcfs_fast_pick(now, writes_eligible),
+            SmsPick::FrFcfs => self.pick_walk(now, writes_eligible, PickOrder::RowHitFirst),
             SmsPick::Idle => None,
         }
     }
@@ -536,38 +491,20 @@ impl DramChannel {
         self.stats.busy_cycles.inc();
         // Known-starved span: nothing new arrived, no bank timing moved,
         // and no eligible request's first command is ready yet, so a
-        // pure-when-starved scheduler would rebuild the same view and
-        // return `None` again. Skip straight out (bookkeeping above
-        // still ran).
+        // pure-when-starved scheduler would pick nothing again. Skip
+        // straight out (bookkeeping above still ran).
         if now < self.starved_until {
             return;
         }
-        // Update the write-drain hysteresis (the incrementally-tracked
-        // write count settles write eligibility: writes may issue while
-        // draining or when no reads are waiting, i.e. the queue is all
-        // writes).
-        debug_assert_eq!(
-            self.queued_writes,
-            self.bank_q.iter().flatten().filter(|p| p.req.write).count()
-        );
-        let writes = self.queued_writes;
-        if writes >= WRITE_DRAIN_HI {
-            self.draining_writes = true;
-        } else if writes <= WRITE_DRAIN_LO {
-            self.draining_writes = false;
-        }
-        let writes_eligible = self.draining_writes || writes == self.len;
+        let writes_eligible = self.writes_eligible();
         // `ready` is the earliest `issuable_at` over eligible requests,
         // needed only when nothing is picked.
-        let (picked, ready) = if self.scheduler.sms_mut().is_some() {
-            (self.sms_pick(now, writes_eligible), self.sms_eligible_ready)
-        } else if self.scheduler.frfcfs_equivalent(ctx) {
-            match self.frfcfs_fast_pick(now, writes_eligible) {
+        let (picked, ready) = match self.scheduler.pick_order(ctx) {
+            Some(order) => match self.pick_walk(now, writes_eligible, order) {
                 Some(slot) => (Some(slot), 0),
                 None => (None, self.eligible_ready(writes_eligible)),
-            }
-        } else {
-            self.generic_pick(now, writes_eligible, ctx)
+            },
+            None => (self.sms_pick(now, writes_eligible), self.sms_eligible_ready),
         };
         match picked {
             Some(slot) => {
@@ -585,26 +522,23 @@ impl DramChannel {
         }
     }
 
-    /// Pick through the installed policy's `select` over a freshly built
-    /// [`ReqInfo`] view; also returns [`Self::eligible_ready`].
-    fn generic_pick(
-        &mut self,
-        now: u64,
-        writes_eligible: bool,
-        ctx: SchedCtx,
-    ) -> (Option<Slot>, u64) {
-        let eligible_ready = self.build_req_infos(now, writes_eligible);
-        let picked = self.scheduler.select(&self.info_buf, now, ctx);
-        if let Some(idx) = picked {
-            debug_assert!(
-                self.info_buf[idx].issuable,
-                "scheduler picked a non-issuable request"
-            );
+    /// Update the write-drain hysteresis and return whether writes may
+    /// issue this cycle: while draining, or when no reads are waiting
+    /// (the queue is all writes). The incrementally tracked write count
+    /// settles it without a queue pass; with the count unchanged, a
+    /// second call returns the same answer.
+    fn writes_eligible(&mut self) -> bool {
+        debug_assert_eq!(
+            self.queued_writes,
+            self.bank_q.iter().flatten().filter(|p| p.req.write).count()
+        );
+        let writes = self.queued_writes;
+        if writes >= WRITE_DRAIN_HI {
+            self.draining_writes = true;
+        } else if writes <= WRITE_DRAIN_LO {
+            self.draining_writes = false;
         }
-        let picked = picked.map(|idx| self.handle_buf[idx]);
-        self.info_buf.clear();
-        self.handle_buf.clear();
-        (picked, eligible_ready)
+        self.draining_writes || writes == self.len
     }
 
     fn issue(&mut self, p: Pending, now: u64) {
@@ -762,7 +696,7 @@ impl std::fmt::Debug for DramChannel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DramChannel")
             .field("queue", &self.len)
-            .field("scheduler", &self.scheduler.name())
+            .field("scheduler", &self.scheduler)
             .finish()
     }
 }
@@ -772,6 +706,7 @@ mod tests {
     use super::*;
     use crate::mapping::DramAddressMap;
     use crate::sched::SchedulerKind;
+    use proptest::prelude::*;
 
     const MAP: DramAddressMap = DramAddressMap::table_one();
 
@@ -1147,60 +1082,193 @@ mod tests {
         }
     }
 
-    /// The FR-FCFS fast path and the generic `ReqInfo` path must produce
-    /// byte-identical completion schedules. On a CPU-only load,
-    /// StaticCpuPrio degenerates to plain FR-FCFS but always runs the
-    /// generic path — so FR-FCFS (fast path) vs StaticCpuPrio (generic)
-    /// on the same request stream pins the equivalence.
+    /// The four policies the walk serves.
+    const WALKED: [SchedulerKind; 4] = [
+        SchedulerKind::FrFcfs,
+        SchedulerKind::FrFcfsCpuPrio,
+        SchedulerKind::DynPrio,
+        SchedulerKind::StaticCpuPrio,
+    ];
+
+    /// The `SchedCtx` whose three signals are the low bits of `b`.
+    fn ctx_of(b: u64) -> SchedCtx {
+        SchedCtx {
+            cpu_prio_boost: b & 1 != 0,
+            gpu_urgent: b & 2 != 0,
+            gpu_ahead: b & 4 != 0,
+        }
+    }
+
+    /// `p`'s pick key under the installed policy and `ctx`, spelled out
+    /// from each policy's definition rather than through `PickOrder`:
+    /// (class bit before the row-miss bit, row miss, class bit after it,
+    /// arrival stamp).
+    fn reference_key(
+        sched: &SchedulerImpl,
+        ctx: SchedCtx,
+        p: &Pending,
+        miss: bool,
+        now: u64,
+    ) -> (bool, bool, bool, u64) {
+        let gpu = p.req.source.is_gpu();
+        let young_gpu = gpu && now.saturating_sub(p.arrival / 4096) < 256;
+        match sched {
+            SchedulerImpl::FrFcfsCpuPrio if ctx.cpu_prio_boost => {
+                (false, miss, young_gpu, p.arrival)
+            }
+            SchedulerImpl::DynPrio if ctx.gpu_urgent => (!gpu, miss, false, p.arrival),
+            SchedulerImpl::DynPrio if ctx.gpu_ahead => (gpu, miss, false, p.arrival),
+            SchedulerImpl::StaticCpuPrio => (gpu, miss, false, p.arrival),
+            SchedulerImpl::FrFcfs
+            | SchedulerImpl::FrFcfsCpuPrio
+            | SchedulerImpl::DynPrio
+            | SchedulerImpl::Sms(_)
+            | SchedulerImpl::SmsUnskipped(_) => (false, miss, false, p.arrival),
+        }
+    }
+
+    /// The pick from scratch: the smallest reference key over every
+    /// eligible request whose `issuable_at` has come.
+    fn reference_pick(
+        ch: &DramChannel,
+        now: u64,
+        writes_eligible: bool,
+        ctx: SchedCtx,
+    ) -> Option<Slot> {
+        let queued = ch.bank_q.iter().zip(&ch.banks).enumerate();
+        queued
+            .flat_map(|(bi, (q, bank))| q.iter().enumerate().map(move |(i, p)| (bank, p, (bi, i))))
+            .filter(|&(bank, p, _)| {
+                (!p.req.write || writes_eligible) && issuable_at(bank, ch.act_any_ready, p) <= now
+            })
+            .min_by_key(|&(bank, p, _)| {
+                let miss = bank.open_row != Some(p.coord.row);
+                reference_key(&ch.scheduler, ctx, p, miss, now)
+            })
+            .map(|(_, _, slot)| slot)
+    }
+
+    /// One channel cycle whose issue is checked against the reference
+    /// pick: the tick must take exactly that request off the queue, or
+    /// nothing when the reference finds nothing.
+    fn checked_step(ch: &mut DramChannel, now: u64, ctx: SchedCtx, out: &mut Vec<Completion>) {
+        // A REF due now lands before the tick's pick; the tick's own call
+        // then finds it done.
+        ch.refresh_if_due(now);
+        let writes_eligible = ch.writes_eligible();
+        let want =
+            reference_pick(ch, now, writes_eligible, ctx).map(|(b, i)| ch.bank_q[b][i].req.id);
+        let before = ch.queue_len();
+        ch.tick(now, ctx);
+        let queued = |id| ch.bank_q.iter().flatten().any(|p| p.req.id == id);
+        match want {
+            Some(id) => assert!(
+                ch.queue_len() + 1 == before && !queued(id),
+                "cycle {now}: the tick did not issue the reference pick {id}"
+            ),
+            None => assert_eq!(ch.queue_len(), before, "cycle {now}: issued with no pick"),
+        }
+        ch.drain_completions(now, out);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Over drawn bank queues (stamps unique, queue order unrelated to
+        /// stamp order as across a sequence wrap), bank timing around
+        /// `now` (so banks are blocked by each constraint in turn), write
+        /// eligibility and request ages (both sides of the boost's age
+        /// cap), the walk equals the from-scratch minimum of the key for
+        /// every policy under every `SchedCtx`.
+        #[test]
+        fn walk_is_the_minimum_key_over_issuable_requests(
+            banks in prop::collection::vec(
+                (0u64..4, 280u64..320, 280u64..320, 280u64..320, 280u64..320), 8..9),
+            act_any_ready in 280u64..320,
+            reqs in prop::collection::vec(
+                (0u32..8, 0u64..3, any::<bool>(), any::<bool>(), 0u64..301), 0..40),
+            writes_eligible in any::<bool>(),
+        ) {
+            let now = 300;
+            for kind in WALKED {
+                let mut ch = DramChannel::new(DramTiming::ddr3_2133(), 8, 64, kind.build(0));
+                for (i, &(bank, row, write, gpu, cycle)) in reqs.iter().enumerate() {
+                    let source = if gpu { Source::Gpu } else { Source::Cpu(0) };
+                    let req = DramRequest { id: i as u64, addr: 0, write, source };
+                    ch.enqueue(req, DramCoord { channel: 0, bank, row, col: 0 }, cycle);
+                }
+                for (b, &(row, cmd, pre, raw, paw)) in ch.banks.iter_mut().zip(&banks) {
+                    *b = Bank {
+                        // Row 3 stands for a closed bank.
+                        open_row: (row < 3).then_some(row),
+                        cmd_ready: cmd,
+                        pre_ready: pre,
+                        read_after_write_ready: raw,
+                        pre_after_write_ready: paw,
+                    };
+                }
+                ch.act_any_ready = act_any_ready;
+                for ctx in (0..8).map(ctx_of) {
+                    let order = ch.scheduler.pick_order(ctx).unwrap();
+                    prop_assert_eq!(
+                        ch.pick_walk(now, writes_eligible, order),
+                        reference_pick(&ch, now, writes_eligible, ctx),
+                        "{:?} under {:?}", kind, ctx
+                    );
+                }
+            }
+        }
+    }
+
+    /// Over a mixed CPU/GPU stream with every fifth request a write, and
+    /// the `SchedCtx` signals stepping through every combination, each
+    /// walked policy's channel issues exactly the reference pick on every
+    /// cycle, starved spans included.
     #[test]
-    fn fast_path_matches_generic_path() {
-        let drive = |sched: SchedulerImpl| {
-            let mut ch = DramChannel::new(DramTiming::ddr3_2133(), 8, 64, sched);
+    fn walk_matches_the_reference_pick_on_every_cycle() {
+        for kind in WALKED {
+            let mut ch = DramChannel::new(DramTiming::ddr3_2133(), 8, 64, kind.build(0));
             let mut out = Vec::new();
             let mut now = 0u64;
             for i in 0..200u64 {
                 let addr = (i * 3571 % 4096) * 128;
                 while !ch.can_accept() {
-                    ch.tick(now, SchedCtx::default());
-                    ch.drain_completions(now, &mut out);
+                    checked_step(&mut ch, now, ctx_of(now / 50), &mut out);
                     now += 1;
                 }
-                ch.enqueue(
-                    DramRequest {
-                        id: i,
-                        addr,
-                        write: i % 5 == 0,
-                        source: Source::Cpu((i % 4) as u8),
-                    },
-                    MAP.decompose(addr),
-                    now,
-                );
+                let source = if i % 3 == 0 {
+                    Source::Gpu
+                } else {
+                    Source::Cpu((i % 4) as u8)
+                };
+                let req = DramRequest {
+                    id: i,
+                    addr,
+                    write: i % 5 == 0,
+                    source,
+                };
+                ch.enqueue(req, MAP.decompose(addr), now);
                 ch.check_queue_invariants();
             }
             while ch.busy() {
-                ch.tick(now, SchedCtx::default());
-                ch.drain_completions(now, &mut out);
+                checked_step(&mut ch, now, ctx_of(now / 50), &mut out);
                 now += 1;
                 assert!(now < 1_000_000, "wedged");
             }
-            out.iter().map(|c| (c.id, c.done_at)).collect::<Vec<_>>()
-        };
-        // CPU-only load: StaticCpuPrio's CPU-first pass over the generic
-        // path is exactly fr_fcfs_pick, i.e. the fast path's semantics.
-        let fast = drive(SchedulerKind::FrFcfs.build(0));
-        let generic = drive(SchedulerKind::StaticCpuPrio.build(0));
-        assert_eq!(fast, generic, "fast path diverged from generic path");
+            assert_eq!(out.len(), 200, "{kind:?}");
+        }
     }
 
     /// The arrival stamp's 12-bit sequence field wraps every 4096
     /// enqueues, so a burst straddling the wrap gives a later-enqueued
     /// request a *smaller* stamp than its same-cycle predecessors. The
     /// historical FR-FCFS order is min-stamp, not queue position — pin
-    /// that both the fast path and the generic path honor it.
+    /// that order, and that every walked policy issues the reference
+    /// pick through the wrap.
     #[test]
     fn arrival_sequence_wrap_keeps_min_stamp_order() {
-        let drive = |sched: SchedulerImpl| {
-            let mut ch = DramChannel::new(DramTiming::ddr3_2133(), 8, 64, sched);
+        let drive = |kind: SchedulerKind| {
+            let mut ch = DramChannel::new(DramTiming::ddr3_2133(), 8, 64, kind.build(0));
             let coord = |row: u64| DramCoord {
                 channel: 0,
                 bank: 0,
@@ -1214,12 +1282,11 @@ mod tests {
             let mut sent = 0u64;
             while sent < 4094 {
                 while sent < 4094 && ch.can_accept() {
-                    ch.enqueue(read(u64::MAX, 0), coord(0), now);
+                    ch.enqueue(read(1000 + sent, 0), coord(0), now);
                     sent += 1;
                 }
                 while ch.busy() {
-                    ch.tick(now, SchedCtx::default());
-                    ch.drain_completions(now, &mut out);
+                    checked_step(&mut ch, now, SchedCtx::default(), &mut out);
                     now += 1;
                     assert!(now < 1_000_000, "wedged");
                 }
@@ -1233,21 +1300,19 @@ mod tests {
             }
             ch.check_queue_invariants();
             while ch.busy() {
-                ch.tick(now, SchedCtx::default());
-                ch.drain_completions(now, &mut out);
+                checked_step(&mut ch, now, SchedCtx::default(), &mut out);
                 now += 1;
                 assert!(now < 1_000_000, "wedged");
             }
             out.iter().map(|c| c.id).collect::<Vec<_>>()
         };
-        let fast = drive(SchedulerKind::FrFcfs.build(0));
-        assert_eq!(
-            fast,
-            vec![2, 0, 1],
-            "wrapped-stamp request must issue first (oldest by stamp)"
-        );
-        let generic = drive(SchedulerKind::StaticCpuPrio.build(0));
-        assert_eq!(fast, generic, "fast path diverged from generic at wrap");
+        for kind in WALKED {
+            assert_eq!(
+                drive(kind),
+                vec![2, 0, 1],
+                "{kind:?}: wrapped-stamp request must issue first (oldest by stamp)"
+            );
+        }
     }
 
     /// SMS's anti-deadlock fallback: with 56 requests queued and no batch

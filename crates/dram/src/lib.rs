@@ -7,16 +7,22 @@
 //! buffer per bank (1 KB per device × 8 devices), open-page policy.
 //!
 //! Besides the baseline FR-FCFS scheduler it implements every scheduler
-//! the paper evaluates against:
+//! the paper evaluates against, as the variants of [`SchedulerImpl`]:
 //!
-//! * [`sched::FrFcfs`] — baseline first-ready, first-come-first-served,
-//! * [`sched::FrFcfsCpuPrio`] — FR-FCFS with the proposal's dynamic CPU
-//!   priority boost (step 3 of the algorithm, §III-C),
+//! * `FrFcfs` — baseline first-ready, first-come-first-served,
+//! * `FrFcfsCpuPrio` — FR-FCFS with the proposal's dynamic CPU priority
+//!   boost (step 3 of the algorithm, §III-C),
 //! * [`sched::Sms`] — the staged memory scheduler of Ausavarungnirun et
 //!   al. (ISCA 2012), with the shortest-batch-first probability as a
 //!   parameter (SMS-0.9 and SMS-0 in Fig. 12–14),
-//! * [`sched::DynPrio`] — the deadline-aware dynamic-priority scheduler of
-//!   Jeong et al. (DAC 2012), driven by the frame-progress signal.
+//! * `DynPrio` — the deadline-aware dynamic-priority scheduler of Jeong
+//!   et al. (DAC 2012), driven by the frame-progress signal,
+//! * `StaticCpuPrio` — static CPU-over-GPU priority (the ARM QoS scheme
+//!   the paper cites).
+//!
+//! Every policy but SMS is FR-FCFS with at most one CPU/GPU class bit in
+//! its pick key, so the channel serves them all through one walk of its
+//! per-bank queues.
 //!
 //! Scheduling decisions are made per DRAM command cycle over a bounded
 //! per-channel request queue; bank state machines enforce tRCD/tRP/tCL,
@@ -38,8 +44,5 @@ pub mod timing;
 pub use channel::{Completion, DramChannel, DramRequest, DramStats};
 pub use energy::{DramEnergy, DramEnergyModel};
 pub use mapping::{ChannelInterleave, DramAddressMap};
-pub use sched::{
-    DynPrio, FrFcfs, FrFcfsCpuPrio, ReqInfo, SchedCtx, SchedulerImpl, SchedulerKind, Sms,
-    StaticCpuPrio,
-};
+pub use sched::{SchedCtx, SchedulerImpl, SchedulerKind, Sms};
 pub use timing::DramTiming;

@@ -2,18 +2,15 @@
 //! paper's Fig. 12–14.
 //!
 //! The channel asks its installed policy for at most one request to
-//! service per DRAM command cycle, in one of three ways:
+//! service per DRAM command cycle, in one of two ways:
 //!
-//! * FR-FCFS-equivalent policies (see
-//!   [`SchedulerImpl::frfcfs_equivalent`]) are served by the channel's
-//!   per-bank fast path, with no scheduler call at all.
+//! * FR-FCFS, FR-FCFS+CPUprio, DynPrio and static CPU priority each name
+//!   a `PickOrder` for the cycle's [`SchedCtx`] signals from the QoS
+//!   controller; the channel walks its per-bank queues once and issues
+//!   the issuable, eligible request with the smallest key under it.
 //! * SMS picks in two stages straight off the per-bank queues: stage 1
 //!   (`Sms::form_batches`) when the queue changes, stage 2 (`Sms::pick`)
 //!   on every cycle.
-//! * Every other policy sees the queue as a slice of [`ReqInfo`] (row-hit
-//!   status and bank readiness precomputed by the channel) plus the
-//!   dynamic [`SchedCtx`] signals from the QoS controller, and returns the
-//!   index of the request to service.
 //!
 //! Dispatch is a closed [`SchedulerImpl`] enum rather than a
 //! `Box<dyn Scheduler>` (DESIGN.md §11): the policy set is fixed by the
@@ -38,33 +35,6 @@ pub struct SchedCtx {
     pub gpu_ahead: bool,
 }
 
-/// Per-request scheduling metadata exposed to the scheduler.
-#[derive(Debug, Clone, Copy)]
-pub struct ReqInfo {
-    /// Request originated at the GPU.
-    pub is_gpu: bool,
-    pub is_write: bool,
-    /// Arrival stamp (DRAM cycles × 4096 + sequence); a strict total
-    /// order, unique per channel. Use [`ReqInfo::arrival_cycle`] for ages.
-    pub arrival: u64,
-    /// The request's bank currently has its row open.
-    pub row_hit: bool,
-    /// The bank can start this request's first command now.
-    pub issuable: bool,
-    /// Eligible under the channel's write-buffering policy (writes are
-    /// held back until a drain burst or an idle read queue).
-    pub eligible: bool,
-}
-
-impl ReqInfo {
-    /// Arrival time in DRAM cycles (the stamp with its sequence bits
-    /// stripped).
-    #[inline]
-    pub fn arrival_cycle(&self) -> u64 {
-        self.arrival / 4096
-    }
-}
-
 /// Which scheduler to construct (plumbing for experiment configs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SchedulerKind {
@@ -83,11 +53,11 @@ impl SchedulerKind {
     /// Instantiate the scheduler; `seed` feeds SMS's policy coin.
     pub fn build(self, seed: u64) -> SchedulerImpl {
         match self {
-            SchedulerKind::FrFcfs => SchedulerImpl::FrFcfs(FrFcfs),
-            SchedulerKind::FrFcfsCpuPrio => SchedulerImpl::FrFcfsCpuPrio(FrFcfsCpuPrio),
+            SchedulerKind::FrFcfs => SchedulerImpl::FrFcfs,
+            SchedulerKind::FrFcfsCpuPrio => SchedulerImpl::FrFcfsCpuPrio,
             SchedulerKind::Sms(p) => SchedulerImpl::Sms(Sms::new(p, seed)),
-            SchedulerKind::DynPrio => SchedulerImpl::DynPrio(DynPrio),
-            SchedulerKind::StaticCpuPrio => SchedulerImpl::StaticCpuPrio(StaticCpuPrio),
+            SchedulerKind::DynPrio => SchedulerImpl::DynPrio,
+            SchedulerKind::StaticCpuPrio => SchedulerImpl::StaticCpuPrio,
         }
     }
 
@@ -105,14 +75,26 @@ impl SchedulerKind {
 /// A constructed DRAM scheduling policy, dispatched by `match` instead of
 /// a vtable. The set is closed (the paper's comparison policies), so enum
 /// dispatch costs one predictable branch where `Box<dyn Scheduler>` paid
-/// an indirect call plus a pointer chase on every channel tick.
+/// an indirect call plus a pointer chase on every channel tick. Only SMS
+/// carries state; every other policy is a `PickOrder` per cycle.
 #[derive(Debug)]
 pub enum SchedulerImpl {
-    FrFcfs(FrFcfs),
-    FrFcfsCpuPrio(FrFcfsCpuPrio),
+    /// Baseline first-ready, first-come-first-served (Table I).
+    FrFcfs,
+    /// FR-FCFS that serves CPU requests ahead of young GPU requests while
+    /// the QoS controller asserts `cpu_prio_boost` (the proposal, §III-C).
+    /// Without the boost it is identical to the baseline.
+    FrFcfsCpuPrio,
     Sms(Sms),
-    DynPrio(DynPrio),
-    StaticCpuPrio(StaticCpuPrio),
+    /// DynPrio (Jeong et al., DAC 2012): equal priority while the GPU
+    /// lags, the CPU first while the GPU is ahead of its frame deadline,
+    /// and the GPU first while the frame-progress estimator flags the
+    /// deadline as endangered (last 10 % of the frame-time budget).
+    DynPrio,
+    /// Static priority (ARM QoS white paper): CPU requests
+    /// unconditionally beat GPU requests, regardless of frame progress.
+    /// Row hits are still preferred within each class.
+    StaticCpuPrio,
     /// Test-harness variant: SMS with its starved-skip claim stripped, so
     /// the channel runs the SMS path on every busy cycle. Exists for the
     /// starved-skip equivalence property test (`tests/proptest_dram.rs`);
@@ -126,21 +108,20 @@ impl SchedulerImpl {
         SchedulerImpl::SmsUnskipped(Sms::new(p_sjf, seed))
     }
 
-    /// Pick the queue index to service this cycle, or `None` to idle.
-    ///
-    /// # Panics
-    /// Panics under SMS, which picks off the bank queues instead
-    /// (`Sms::form_batches`, `Sms::pick`).
+    /// How the policy orders the issuable requests under `ctx`, or `None`
+    /// under SMS, which picks off its batches instead (`Sms::form_batches`,
+    /// `Sms::pick`).
     #[inline]
-    pub fn select(&mut self, reqs: &[ReqInfo], now: u64, ctx: SchedCtx) -> Option<usize> {
+    pub(crate) fn pick_order(&self, ctx: SchedCtx) -> Option<PickOrder> {
         match self {
-            SchedulerImpl::FrFcfs(s) => s.select(reqs, now, ctx),
-            SchedulerImpl::FrFcfsCpuPrio(s) => s.select(reqs, now, ctx),
-            SchedulerImpl::DynPrio(s) => s.select(reqs, now, ctx),
-            SchedulerImpl::StaticCpuPrio(s) => s.select(reqs, now, ctx),
-            SchedulerImpl::Sms(_) | SchedulerImpl::SmsUnskipped(_) => {
-                unreachable!("SMS picks off the bank queues, not a ReqInfo view")
-            }
+            SchedulerImpl::FrFcfs => Some(PickOrder::RowHitFirst),
+            SchedulerImpl::FrFcfsCpuPrio if ctx.cpu_prio_boost => Some(PickOrder::BoostCpu),
+            SchedulerImpl::FrFcfsCpuPrio => Some(PickOrder::RowHitFirst),
+            SchedulerImpl::DynPrio if ctx.gpu_urgent => Some(PickOrder::GpuFirst),
+            SchedulerImpl::DynPrio if ctx.gpu_ahead => Some(PickOrder::CpuFirst),
+            SchedulerImpl::DynPrio => Some(PickOrder::RowHitFirst),
+            SchedulerImpl::StaticCpuPrio => Some(PickOrder::CpuFirst),
+            SchedulerImpl::Sms(_) | SchedulerImpl::SmsUnskipped(_) => None,
         }
     }
 
@@ -148,22 +129,10 @@ impl SchedulerImpl {
     pub(crate) fn sms_mut(&mut self) -> Option<&mut Sms> {
         match self {
             SchedulerImpl::Sms(s) | SchedulerImpl::SmsUnskipped(s) => Some(s),
-            SchedulerImpl::FrFcfs(_)
-            | SchedulerImpl::FrFcfsCpuPrio(_)
-            | SchedulerImpl::DynPrio(_)
-            | SchedulerImpl::StaticCpuPrio(_) => None,
-        }
-    }
-
-    /// Display name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SchedulerImpl::FrFcfs(s) => s.name(),
-            SchedulerImpl::FrFcfsCpuPrio(s) => s.name(),
-            SchedulerImpl::Sms(s) => s.name(),
-            SchedulerImpl::SmsUnskipped(_) => "SMS-unskipped",
-            SchedulerImpl::DynPrio(s) => s.name(),
-            SchedulerImpl::StaticCpuPrio(s) => s.name(),
+            SchedulerImpl::FrFcfs
+            | SchedulerImpl::FrFcfsCpuPrio
+            | SchedulerImpl::DynPrio
+            | SchedulerImpl::StaticCpuPrio => None,
         }
     }
 
@@ -179,98 +148,50 @@ impl SchedulerImpl {
     pub fn pure_when_starved(&self) -> bool {
         !matches!(self, SchedulerImpl::SmsUnskipped(_))
     }
-
-    /// True when, under `ctx`, `select` is exactly baseline FR-FCFS:
-    /// stateless, and picking the oldest issuable+eligible request with
-    /// row hits preferred (`fr_fcfs_pick` over the whole queue). The
-    /// channel then skips both the [`ReqInfo`] rebuild *and* the `select`
-    /// call, running its per-bank fast path instead.
-    #[inline]
-    pub fn frfcfs_equivalent(&self, ctx: SchedCtx) -> bool {
-        match self {
-            SchedulerImpl::FrFcfs(_) => true,
-            // Without the boost line asserted, CPU-prio *is* the baseline.
-            SchedulerImpl::FrFcfsCpuPrio(_) => !ctx.cpu_prio_boost,
-            // DynPrio in its neutral band (lagging but not urgent) is the
-            // baseline too.
-            SchedulerImpl::DynPrio(_) => !ctx.gpu_urgent && !ctx.gpu_ahead,
-            SchedulerImpl::Sms(_)
-            | SchedulerImpl::SmsUnskipped(_)
-            | SchedulerImpl::StaticCpuPrio(_) => false,
-        }
-    }
 }
-
-/// Oldest issuable request matching `pred`, preferring row hits.
-fn fr_fcfs_pick(reqs: &[ReqInfo], pred: impl Fn(&ReqInfo) -> bool) -> Option<usize> {
-    let mut best: Option<usize> = None;
-    let mut best_key = (false, u64::MAX); // (is_hit inverted later, arrival)
-    for (i, r) in reqs.iter().enumerate() {
-        if !r.issuable || !r.eligible || !pred(r) {
-            continue;
-        }
-        // Row hits beat non-hits; within a class, oldest first.
-        let key = (!r.row_hit, r.arrival);
-        if best.is_none() || key < best_key {
-            best = Some(i);
-            best_key = key;
-        }
-    }
-    best
-}
-
-/// Baseline first-ready, first-come-first-served (Table I).
-#[derive(Debug, Default)]
-pub struct FrFcfs;
-
-impl FrFcfs {
-    pub fn select(&mut self, reqs: &[ReqInfo], _now: u64, _ctx: SchedCtx) -> Option<usize> {
-        fr_fcfs_pick(reqs, |_| true)
-    }
-
-    pub fn name(&self) -> &'static str {
-        "FR-FCFS"
-    }
-}
-
-/// FR-FCFS that serves all CPU requests ahead of all GPU requests while the
-/// QoS controller asserts `cpu_prio_boost` (the proposal, §III-C). Without
-/// the boost it is identical to the baseline.
-#[derive(Debug, Default)]
-pub struct FrFcfsCpuPrio;
 
 /// Anti-starvation: a GPU request older than this many DRAM cycles is
 /// promoted back to CPU class even while the boost is asserted, so
 /// deprioritized GPU traffic cannot pile up and clog the queue.
 const BOOST_AGE_CAP: u64 = 256;
 
-impl FrFcfsCpuPrio {
-    pub fn select(&mut self, reqs: &[ReqInfo], now: u64, ctx: SchedCtx) -> Option<usize> {
-        if ctx.cpu_prio_boost {
-            // Keep row-buffer locality first (losing it would cost more
-            // than the priority gains), break ties CPU-first, then oldest.
-            let mut best: Option<usize> = None;
-            let mut best_key = (true, true, u64::MAX);
-            for (i, r) in reqs.iter().enumerate() {
-                if !r.issuable || !r.eligible {
-                    continue;
-                }
-                let age = now.saturating_sub(r.arrival_cycle());
-                let deprioritized = r.is_gpu && age < BOOST_AGE_CAP;
-                let key = (!r.row_hit, deprioritized, r.arrival);
-                if best.is_none() || key < best_key {
-                    best = Some(i);
-                    best_key = key;
-                }
-            }
-            best
-        } else {
-            fr_fcfs_pick(reqs, |_| true)
-        }
-    }
+/// The order in which a non-SMS policy picks among the issuable, eligible
+/// requests: the smallest `(class, arrival stamp)` wins. Every such
+/// policy is FR-FCFS with at most one CPU/GPU class bit, placed before or
+/// after the row-miss bit. Stamps are unique per channel, so each order
+/// is total.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum PickOrder {
+    /// (row miss, stamp): FR-FCFS, and the other policies when neutral.
+    RowHitFirst,
+    /// (row miss, GPU request younger than `BOOST_AGE_CAP`, stamp): the
+    /// CPU-priority boost keeps row-buffer locality first (losing it
+    /// would cost more than the priority gains), then serves CPU first.
+    BoostCpu,
+    /// (is GPU, row miss, stamp): static priority, DynPrio while the GPU
+    /// is ahead.
+    CpuFirst,
+    /// (is CPU, row miss, stamp): DynPrio's express lane while the GPU
+    /// deadline is endangered.
+    GpuFirst,
+}
 
-    pub fn name(&self) -> &'static str {
-        "FR-FCFS+CPUprio"
+impl PickOrder {
+    /// The class a request sorts by before its arrival stamp: a row miss
+    /// (or closed row) and the policy's class bit packed most significant
+    /// first. `now` and `arrival` are in DRAM cycles and stamps.
+    #[inline]
+    pub(crate) fn class(self, is_gpu: bool, row_miss: bool, arrival: u64, now: u64) -> u8 {
+        let miss = u8::from(row_miss);
+        match self {
+            PickOrder::RowHitFirst => miss,
+            PickOrder::BoostCpu => {
+                let young_gpu = is_gpu && now.saturating_sub(arrival / 4096) < BOOST_AGE_CAP;
+                miss << 1 | u8::from(young_gpu)
+            }
+            PickOrder::CpuFirst => u8::from(is_gpu) << 1 | miss,
+            PickOrder::GpuFirst => u8::from(!is_gpu) << 1 | miss,
+        }
     }
 }
 
@@ -283,7 +204,8 @@ pub(crate) type Slot = (usize, usize);
 pub(crate) struct SmsReq {
     /// Source id: CPU core index, or `u8::MAX` for the GPU.
     pub source: u8,
-    /// Arrival stamp (see [`ReqInfo::arrival`]).
+    /// Arrival stamp: DRAM cycles × 4096 plus a per-channel sequence, so
+    /// unique per channel.
     pub arrival: u64,
     pub bank: u32,
     pub row: u64,
@@ -423,159 +345,101 @@ impl Sms {
             SmsPick::Idle
         }
     }
-
-    pub fn name(&self) -> &'static str {
-        "SMS"
-    }
-}
-
-/// Static priority (ARM QoS white paper): CPU requests unconditionally
-/// beat GPU requests, regardless of frame progress. Row hits are still
-/// preferred within each class.
-#[derive(Debug, Default)]
-pub struct StaticCpuPrio;
-
-impl StaticCpuPrio {
-    pub fn select(&mut self, reqs: &[ReqInfo], _now: u64, _ctx: SchedCtx) -> Option<usize> {
-        fr_fcfs_pick(reqs, |r| !r.is_gpu).or_else(|| fr_fcfs_pick(reqs, |r| r.is_gpu))
-    }
-
-    pub fn name(&self) -> &'static str {
-        "StaticCPUprio"
-    }
-}
-
-/// DynPrio (Jeong et al., DAC 2012): equal priority normally, GPU boosted
-/// while the frame-progress estimator flags the deadline as endangered
-/// (last 10 % of the frame-time budget).
-#[derive(Debug, Default)]
-pub struct DynPrio;
-
-impl DynPrio {
-    pub fn select(&mut self, reqs: &[ReqInfo], _now: u64, ctx: SchedCtx) -> Option<usize> {
-        if ctx.gpu_urgent {
-            // Deadline endangered: express lane for the GPU.
-            fr_fcfs_pick(reqs, |r| r.is_gpu).or_else(|| fr_fcfs_pick(reqs, |r| !r.is_gpu))
-        } else if ctx.gpu_ahead {
-            // Ahead of schedule: the CPU takes priority.
-            fr_fcfs_pick(reqs, |r| !r.is_gpu).or_else(|| fr_fcfs_pick(reqs, |r| r.is_gpu))
-        } else {
-            // Lagging but not yet urgent: equal priority (plain FR-FCFS).
-            fr_fcfs_pick(reqs, |_| true)
-        }
-    }
-
-    pub fn name(&self) -> &'static str {
-        "DynPrio"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn req(is_gpu: bool, arrival: u64, row_hit: bool, issuable: bool) -> ReqInfo {
-        ReqInfo {
-            is_gpu,
-            is_write: false,
-            arrival,
-            row_hit,
-            issuable,
-            eligible: true,
-        }
+    /// The request `kind` picks under `ctx` at DRAM cycle `now` among
+    /// `reqs`, all issuable and eligible: `(is_gpu, arrival stamp,
+    /// row_hit)`. The channel's walk takes the same minimum over the
+    /// issuable, eligible requests (`channel::tests`).
+    fn pick(kind: SchedulerKind, ctx: SchedCtx, now: u64, reqs: &[(bool, u64, bool)]) -> usize {
+        let order = kind
+            .build(0)
+            .pick_order(ctx)
+            .expect("SMS has no pick order");
+        (0..reqs.len())
+            .min_by_key(|&i| {
+                let (is_gpu, arrival, row_hit) = reqs[i];
+                (order.class(is_gpu, !row_hit, arrival, now), arrival)
+            })
+            .expect("no request")
     }
+
+    const NEUTRAL: SchedCtx = SchedCtx {
+        cpu_prio_boost: false,
+        gpu_urgent: false,
+        gpu_ahead: false,
+    };
+    const BOOSTED: SchedCtx = SchedCtx {
+        cpu_prio_boost: true,
+        ..NEUTRAL
+    };
+    const URGENT: SchedCtx = SchedCtx {
+        gpu_urgent: true,
+        ..NEUTRAL
+    };
+    const AHEAD: SchedCtx = SchedCtx {
+        gpu_ahead: true,
+        ..NEUTRAL
+    };
 
     #[test]
     fn frfcfs_prefers_row_hits_then_age() {
-        let mut s = FrFcfs;
-        let reqs = [
-            req(false, 10, false, true),
-            req(true, 20, true, true),
-            req(false, 5, true, true),
-        ];
-        assert_eq!(s.select(&reqs, 100, SchedCtx::default()), Some(2));
-    }
-
-    #[test]
-    fn frfcfs_skips_ineligible_writes() {
-        let mut s = FrFcfs;
-        let mut w = req(false, 1, true, true);
-        w.is_write = true;
-        w.eligible = false;
-        let reqs = [w, req(false, 9, false, true)];
-        assert_eq!(
-            s.select(&reqs, 100, SchedCtx::default()),
-            Some(1),
-            "buffered write must wait"
-        );
-    }
-
-    #[test]
-    fn frfcfs_skips_non_issuable() {
-        let mut s = FrFcfs;
-        let reqs = [req(false, 1, true, false), req(true, 9, false, true)];
-        assert_eq!(s.select(&reqs, 100, SchedCtx::default()), Some(1));
-        assert_eq!(
-            s.select(&[req(false, 1, true, false)], 0, SchedCtx::default()),
-            None
-        );
+        let reqs = [(false, 10, false), (true, 20, true), (false, 5, true)];
+        assert_eq!(pick(SchedulerKind::FrFcfs, NEUTRAL, 100, &reqs), 2);
     }
 
     #[test]
     fn cpu_prio_boost_breaks_ties_cpu_first() {
-        let mut s = FrFcfsCpuPrio;
-        let boosted = SchedCtx {
-            cpu_prio_boost: true,
-            ..Default::default()
-        };
+        let kind = SchedulerKind::FrFcfsCpuPrio;
         // Same row-hit class: CPU beats the older GPU request.
-        let reqs = [req(true, 1, true, true), req(false, 50, true, true)];
-        assert_eq!(s.select(&reqs, 100, boosted), Some(1));
+        let reqs = [(true, 1, true), (false, 50, true)];
+        assert_eq!(pick(kind, BOOSTED, 100, &reqs), 1);
         // Row locality is preserved across classes: a GPU row hit still
         // beats a CPU row miss (losing the open row would cost everyone).
-        let reqs2 = [req(true, 1, true, true), req(false, 50, false, true)];
-        assert_eq!(s.select(&reqs2, 100, boosted), Some(0));
+        let reqs2 = [(true, 1, true), (false, 50, false)];
+        assert_eq!(pick(kind, BOOSTED, 100, &reqs2), 0);
         // Without the boost, pure FR-FCFS.
-        assert_eq!(s.select(&reqs2, 100, SchedCtx::default()), Some(0));
+        assert_eq!(pick(kind, NEUTRAL, 100, &reqs2), 0);
+        // A GPU request 256 cycles old is back in the CPU class: the
+        // oldest row hit wins again. One cycle younger, it still waits.
+        let aged = [(true, 500 * 4096, true), (false, 700 * 4096, true)];
+        assert_eq!(pick(kind, BOOSTED, 756, &aged), 0);
+        assert_eq!(pick(kind, BOOSTED, 755, &aged), 1);
     }
 
     #[test]
     fn static_prio_always_prefers_cpu() {
-        let mut s = StaticCpuPrio;
         // GPU row hit, much older, vs a young CPU row miss: CPU wins
         // unconditionally (that unconditionality is its flaw).
-        let reqs = [req(true, 1, true, true), req(false, 90, false, true)];
-        assert_eq!(s.select(&reqs, 100, SchedCtx::default()), Some(1));
+        let reqs = [(true, 1, true), (false, 90, false)];
+        assert_eq!(pick(SchedulerKind::StaticCpuPrio, NEUTRAL, 100, &reqs), 1);
         // With only GPU requests present, they are served normally.
-        let gpu_only = [req(true, 5, false, true)];
-        assert_eq!(s.select(&gpu_only, 100, SchedCtx::default()), Some(0));
+        let gpu_only = [(true, 5, false)];
+        assert_eq!(
+            pick(SchedulerKind::StaticCpuPrio, NEUTRAL, 100, &gpu_only),
+            0
+        );
     }
 
     #[test]
     fn dynprio_boosts_gpu_when_urgent() {
-        let mut s = DynPrio;
-        let reqs = [req(false, 1, true, true), req(true, 50, false, true)];
-        let urgent = SchedCtx {
-            gpu_urgent: true,
-            ..Default::default()
-        };
-        assert_eq!(s.select(&reqs, 100, urgent), Some(1));
-        assert_eq!(s.select(&reqs, 100, SchedCtx::default()), Some(0));
+        let reqs = [(false, 1, true), (true, 50, false)];
+        assert_eq!(pick(SchedulerKind::DynPrio, URGENT, 100, &reqs), 1);
+        assert_eq!(pick(SchedulerKind::DynPrio, NEUTRAL, 100, &reqs), 0);
     }
 
     #[test]
     fn dynprio_prefers_cpu_while_gpu_is_ahead() {
-        let mut s = DynPrio;
         // GPU row hit (older) vs CPU row miss: with the GPU ahead of its
         // deadline, the CPU goes first.
-        let reqs = [req(true, 1, true, true), req(false, 50, false, true)];
-        let ahead = SchedCtx {
-            gpu_ahead: true,
-            ..Default::default()
-        };
-        assert_eq!(s.select(&reqs, 100, ahead), Some(1));
+        let reqs = [(true, 1, true), (false, 50, false)];
+        assert_eq!(pick(SchedulerKind::DynPrio, AHEAD, 100, &reqs), 1);
         // Lagging (neither flag): equal priority, the GPU row hit wins.
-        assert_eq!(s.select(&reqs, 100, SchedCtx::default()), Some(0));
+        assert_eq!(pick(SchedulerKind::DynPrio, NEUTRAL, 100, &reqs), 0);
     }
 
     /// One request on bank 0 as SMS stage 1 sees it; `slot` is `(0, i)`.
@@ -691,55 +555,33 @@ mod tests {
             SchedulerKind::DynPrio,
             SchedulerKind::StaticCpuPrio,
         ] {
-            let s = k.build(7);
-            assert!(!s.name().is_empty());
+            let is_sms = matches!(k, SchedulerKind::Sms(_));
+            assert_eq!(k.build(7).pick_order(NEUTRAL).is_none(), is_sms);
             assert!(!k.label().is_empty());
         }
     }
 
     #[test]
-    fn frfcfs_equivalence_tracks_ctx() {
-        let neutral = SchedCtx::default();
-        let boosted = SchedCtx {
-            cpu_prio_boost: true,
-            ..Default::default()
-        };
-        let urgent = SchedCtx {
-            gpu_urgent: true,
-            ..Default::default()
-        };
-        assert!(SchedulerKind::FrFcfs.build(1).frfcfs_equivalent(boosted));
-        let cpuprio = SchedulerKind::FrFcfsCpuPrio.build(1);
-        assert!(cpuprio.frfcfs_equivalent(neutral));
-        assert!(!cpuprio.frfcfs_equivalent(boosted));
-        let dynprio = SchedulerKind::DynPrio.build(1);
-        assert!(dynprio.frfcfs_equivalent(neutral));
-        assert!(!dynprio.frfcfs_equivalent(urgent));
-        assert!(!SchedulerKind::Sms(0.5).build(1).frfcfs_equivalent(neutral));
-        assert!(!SchedulerKind::StaticCpuPrio
-            .build(1)
-            .frfcfs_equivalent(neutral));
-    }
-
-    /// The enum dispatch and the direct struct calls must agree — the
-    /// devirtualization is pure plumbing.
-    #[test]
-    fn enum_dispatch_matches_direct_calls() {
-        let reqs = [
-            req(false, 10, false, true),
-            req(true, 20, true, true),
-            req(false, 5, true, true),
-        ];
-        let ctx = SchedCtx::default();
+    fn pick_order_tracks_ctx() {
+        use PickOrder::*;
+        let order = |k: SchedulerKind, ctx| k.build(1).pick_order(ctx);
+        assert_eq!(order(SchedulerKind::FrFcfs, BOOSTED), Some(RowHitFirst));
         assert_eq!(
-            SchedulerKind::FrFcfs.build(3).select(&reqs, 100, ctx),
-            FrFcfs.select(&reqs, 100, ctx)
+            order(SchedulerKind::FrFcfsCpuPrio, NEUTRAL),
+            Some(RowHitFirst)
         );
-        assert_eq!(
-            SchedulerKind::StaticCpuPrio
-                .build(3)
-                .select(&reqs, 100, ctx),
-            StaticCpuPrio.select(&reqs, 100, ctx)
-        );
+        assert_eq!(order(SchedulerKind::FrFcfsCpuPrio, BOOSTED), Some(BoostCpu));
+        assert_eq!(order(SchedulerKind::DynPrio, NEUTRAL), Some(RowHitFirst));
+        assert_eq!(order(SchedulerKind::DynPrio, BOOSTED), Some(RowHitFirst));
+        assert_eq!(order(SchedulerKind::DynPrio, URGENT), Some(GpuFirst));
+        assert_eq!(order(SchedulerKind::DynPrio, AHEAD), Some(CpuFirst));
+        // The deadline signal outranks the progress signal.
+        let both = SchedCtx {
+            gpu_ahead: true,
+            ..URGENT
+        };
+        assert_eq!(order(SchedulerKind::DynPrio, both), Some(GpuFirst));
+        assert_eq!(order(SchedulerKind::StaticCpuPrio, NEUTRAL), Some(CpuFirst));
+        assert_eq!(order(SchedulerKind::Sms(0.5), NEUTRAL), None);
     }
 }

@@ -71,8 +71,8 @@ pub struct HeteroSystem {
     last_sched_boost: bool,
     /// Per-core inert-tick skipping (DESIGN.md §8): each core's next
     /// cycle of possible work. A core whose wake lies in the future skips
-    /// its tick; an inert tick re-arms it from `Core::next_wake`, a
-    /// completion or back-invalidation resets it to 0, and a port-stalled
+    /// its tick; a tick that returns `false` (inert, or a first stall)
+    /// re-arms it from `Core::next_wake`, a completion or back-invalidation resets it to 0, and a port-stalled
     /// core is woken for the cycle after the uncore can accept again.
     core_wake: Vec<Cycle>,
     /// Next cycle each core must actually execute. `Core::fast_forward`
@@ -441,9 +441,9 @@ impl HeteroSystem {
 
         // 3. CPU cores. A core whose wake is still in the future is inert
         // this cycle and skips its tick; the skipped gap is replayed
-        // before it next ticks, receives input, or is measured. An inert
-        // tick re-arms the wake from `Core::next_wake`; a working tick
-        // leaves it due.
+        // before it next ticks, receives input, or is measured. A tick
+        // that returns `false` (inert, or a first stall) re-arms the wake
+        // from `Core::next_wake`; any other tick leaves it due.
         for (i, core) in self.cores.iter_mut().enumerate() {
             if self.core_wake[i] > now {
                 continue;

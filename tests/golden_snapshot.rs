@@ -5,7 +5,8 @@
 //! captured three ways — the structured run-event JSONL stream, the final
 //! `RunResult` JSON object, and the human-readable report — and each is
 //! diffed against its committed fixture. Two more runs of the same mix
-//! with a DRRIP LLC pin the `RunResult` JSON alone. Any change to event
+//! with a DRRIP LLC, and two under the static-priority and DynPrio DRAM
+//! schedulers, pin the `RunResult` JSON alone. Any change to event
 //! emission, metric keys, JSON formatting, or simulator behaviour shows
 //! up as a golden diff and must be reviewed deliberately.
 //!
@@ -127,5 +128,29 @@ fn m7_drrip_runs_match_goldens() {
         validate_json_line(&json).unwrap();
         json.push('\n');
         check_golden(&format!("m7_drrip_mshr{mshrs}_result.json"), &json);
+    }
+}
+
+/// The M7 smoke run under the two comparison priority schedulers of
+/// Figs. 12–14: static CPU priority with no QoS hardware, and DynPrio
+/// with the FRPU observing (its progress signals need the FRPU). Both
+/// put a CPU/GPU class bit in the DRAM pick key, so these pin the
+/// channel's class-keyed walk, which no other golden runs.
+#[test]
+fn m7_priority_scheduler_runs_match_goldens() {
+    for (sched, qos, name) in [
+        (SchedulerKind::StaticCpuPrio, QosMode::Off, "static"),
+        (SchedulerKind::DynPrio, QosMode::Observe, "dynprio"),
+    ] {
+        let mix = mix_m(7);
+        let mut cfg = MachineConfig::table_one(256, 9);
+        cfg.limits = RunLimits::smoke();
+        cfg.qos = qos;
+        cfg.sched = sched;
+        let result = HeteroSystem::new(cfg, &mix.cpu, Some(mix.game.clone())).run();
+        let mut json = result.to_json();
+        validate_json_line(&json).unwrap();
+        json.push('\n');
+        check_golden(&format!("m7_{name}_result.json"), &json);
     }
 }
